@@ -24,6 +24,7 @@
 #include "gates/gate_library.hpp"
 #include "hash/keccak.hpp"
 #include "hyperplonk/circuit.hpp"
+#include "pcs/srs.hpp"
 #include "poly/gate_plan.hpp"
 #include "poly/virtual_poly.hpp"
 #include "rt/parallel.hpp"
@@ -413,6 +414,26 @@ BM_EqTableBuild(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EqTableBuild)->Arg(12)->Arg(16);
+
+/** Whole-SRS set-up: the fixed-base sweep of the top level plus the
+ *  batched-affine fold tree down to level 0 (items = sweep multiplies). */
+static void
+BM_SrsGenerate(benchmark::State &state)
+{
+    const unsigned maxVars = unsigned(state.range(0));
+    for (auto _ : state) {
+        Rng rng(10);
+        pcs::Srs srs = pcs::Srs::generate(maxVars, rng);
+        benchmark::DoNotOptimize(srs);
+    }
+    state.SetItemsProcessed(state.iterations() * (std::int64_t(1) << maxVars));
+}
+BENCHMARK(BM_SrsGenerate)
+    ->Arg(10)
+    ->Arg(12)
+    ->Arg(14)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 static void
 BM_SumcheckProver(benchmark::State &state)

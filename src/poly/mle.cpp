@@ -165,6 +165,7 @@ Mle::fixFirstVarInPlace(const Fr &r)
 {
     FrTable scratch;
     fixFirstVarInPlace(r, scratch);
+    arenaRelease(std::move(scratch)); // the pre-fold table, when swapped out
 }
 
 void
@@ -234,7 +235,9 @@ Mle::evaluate(std::span<const Fr> point) const
     Mle tmp = *this;
     for (std::size_t i = 0; i < point.size(); ++i)
         tmp.fixFirstVarInPlace(point[i]);
-    return tmp.vals[0];
+    const Fr value = tmp.vals[0];
+    arenaRelease(std::move(tmp.vals));
+    return value;
 }
 
 Fr

@@ -459,9 +459,17 @@ FrTable::operator==(const FrTable &o) const
 // BufferArena
 // ---------------------------------------------------------------------------
 
+void
+BufferArena::checkOut(std::size_t capacity)
+{
+    Demand &d = demand_[capacity];
+    d.peak = std::max(d.peak, std::size_t(++d.net - d.low));
+}
+
 FrTable
 BufferArena::acquire(std::size_t n)
 {
+    FrTable t;
     {
         std::lock_guard<std::mutex> lk(arenaMu);
         std::size_t best = free_.size();
@@ -472,24 +480,35 @@ BufferArena::acquire(std::size_t n)
                 best = i;
         }
         if (best != free_.size()) {
-            FrTable t = std::move(free_[best]);
+            t = std::move(free_[best]);
             free_.erase(free_.begin() + std::ptrdiff_t(best));
+            checkOut(t.capacity());
             g_arenaHits.fetch_add(1, std::memory_order_relaxed);
             t.resize(n);
             return t;
         }
     }
     g_arenaMisses.fetch_add(1, std::memory_order_relaxed);
-    return FrTable::make(n);
+    t = FrTable::make(n);
+    std::lock_guard<std::mutex> lk(arenaMu);
+    checkOut(t.capacity());
+    return t;
 }
 
 void
 BufferArena::release(FrTable &&t)
 {
-    if (t.capacity() == 0)
+    const std::size_t cap = t.capacity();
+    if (cap == 0)
         return;
+    // Declared before the lock so a dropped table is freed outside it.
+    FrTable held = std::move(t);
     std::lock_guard<std::mutex> lk(arenaMu);
-    free_.push_back(std::move(t));
+    Demand &d = demand_[cap];
+    d.low = std::min(d.low, --d.net);
+    const auto same = [cap](const FrTable &f) { return f.capacity() == cap; };
+    if (std::size_t(std::count_if(free_.begin(), free_.end(), same)) < d.peak)
+        free_.push_back(std::move(held));
 }
 
 void

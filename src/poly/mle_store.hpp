@@ -29,6 +29,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <span>
 #include <type_traits>
@@ -159,6 +160,12 @@ class FrTable
 /**
  * Free-list of FrTables recycled across proofs, keyed by capacity.
  * Thread-safe: concurrent service lanes share the context's arena.
+ *
+ * Bounded without a knob: the pool keeps no more tables of a capacity than
+ * were ever checked out of it at once. Tables allocated elsewhere and
+ * released here (a consumed VirtualPoly's slot tables) fill the pool up to
+ * that peak and are dropped past it, so a long-lived context's pool stops
+ * growing once its proof mix has been seen.
  */
 class BufferArena
 {
@@ -170,15 +177,26 @@ class BufferArena
     /** Smallest free table with capacity >= n, resized to n; a fresh
      *  policy-routed allocation when none fits. */
     FrTable acquire(std::size_t n);
-    /** Return a table to the free list (empty tables are dropped). */
+    /** Return a table to the free list; dropped when empty or when the pool
+     *  already holds its capacity's checked-out peak. */
     void release(FrTable &&t);
     /** Drop every pooled table. */
     void clear();
     std::size_t pooled() const;
 
   private:
+    /** Checkouts minus returns of one capacity, its running minimum, and
+     *  the largest rise above that minimum: the most ever out at once. */
+    struct Demand {
+        std::ptrdiff_t net = 0;
+        std::ptrdiff_t low = 0;
+        std::size_t peak = 0;
+    };
+    void checkOut(std::size_t capacity); // requires arenaMu
+
     mutable std::mutex arenaMu; // leaf lock: nothing is acquired under it
     std::vector<FrTable> free_;
+    std::map<std::size_t, Demand> demand_; ///< By capacity.
 };
 
 /** RAII installation of an arena as the current thread's ambient arena.

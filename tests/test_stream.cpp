@@ -369,6 +369,34 @@ TEST(Stream, ContextArenaRecyclesBuffersAcrossProofs)
     EXPECT_LT(a2 - a1, a1 - a0);
 }
 
+TEST(Stream, ContextArenaPoolStopsGrowingAcrossWarmProofs)
+{
+    // More tables are released into a context's arena per proof than are
+    // taken from it (consumed slot tables, evaluation copies); the pool must
+    // level off instead of gaining them every proof, without costing warm
+    // proofs their arena hits.
+    Rng rng(12);
+    hyperplonk::Circuit c = hyperplonk::randomJellyfishCircuit(8, rng);
+    rt::Config cfg = ramOnly();
+    cfg.threads = 4;
+    engine::ProverContext ctx(sharedSrs(), cfg);
+    const hyperplonk::Keys &keys = ctx.preprocess(c);
+
+    const std::vector<std::uint8_t> cold =
+        hyperplonk::serializeProof(ctx.prove(keys.pk, c));
+    std::size_t pooledAfter2 = 0;
+    for (unsigned warm = 1; warm <= 8; ++warm) {
+        const std::uint64_t misses0 = poly::storeCounters().arenaMisses;
+        EXPECT_EQ(hyperplonk::serializeProof(ctx.prove(keys.pk, c)), cold);
+        EXPECT_EQ(poly::storeCounters().arenaMisses, misses0)
+            << "warm proof " << warm;
+        if (warm == 2)
+            pooledAfter2 = ctx.arena().pooled();
+    }
+    EXPECT_GT(pooledAfter2, 0u);
+    EXPECT_EQ(ctx.arena().pooled(), pooledAfter2);
+}
+
 TEST(Numa, DisabledIsInertAndBindNeverLies)
 {
     // Without ZKPHIRE_NUMA in the environment these are hard no-ops; with
