@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <thread>
 
 #include "ec/msm.hpp"
@@ -24,10 +25,12 @@
 #include "gates/gate_library.hpp"
 #include "hash/keccak.hpp"
 #include "hyperplonk/circuit.hpp"
+#include "pcs/mkzg.hpp"
 #include "pcs/srs.hpp"
 #include "poly/gate_plan.hpp"
 #include "poly/virtual_poly.hpp"
 #include "rt/parallel.hpp"
+#include "sumcheck/opencheck.hpp"
 #include "sumcheck/prover.hpp"
 
 using namespace zkphire;
@@ -430,6 +433,94 @@ BM_SrsGenerate(benchmark::State &state)
 }
 BENCHMARK(BM_SrsGenerate)
     ->Arg(10)
+    ->Arg(12)
+    ->Arg(14)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/** HyperPlonk's two OpenChecks at 2^mu (Jellyfish column counts): 29
+ *  claims over 24 tables on two points, then 5 claims on one (mu+1)-variable
+ *  table. Claim tables are copied outside the timed region. */
+static void
+BM_OpenCheckHyperPlonkShape(benchmark::State &state)
+{
+    const unsigned mu = unsigned(state.range(0));
+    Rng rng(11);
+    const auto point = [&rng](unsigned vars) {
+        std::vector<Fr> z;
+        for (unsigned i = 0; i < vars; ++i)
+            z.push_back(Fr::random(rng));
+        return z;
+    };
+    const std::vector<Fr> z_g = point(mu), z_p = point(mu);
+    std::vector<sumcheck::EvalClaim> claims_a;
+    std::vector<poly::Mle> witness;
+    for (int i = 0; i < 5; ++i)
+        witness.push_back(poly::Mle::random(mu, rng));
+    const auto add = [&](const poly::Mle &t, const std::vector<Fr> &z) {
+        claims_a.push_back({t, z, t.evaluate(z)});
+    };
+    for (int i = 0; i < 13; ++i)
+        add(poly::Mle::random(mu, rng), z_g); // selectors
+    for (const poly::Mle &w : witness)
+        add(w, z_g);
+    for (const poly::Mle &w : witness)
+        add(w, z_p);
+    for (int i = 0; i < 6; ++i)
+        add(poly::Mle::random(mu, rng), z_p); // sigma columns, phi
+    const poly::Mle v = poly::Mle::random(mu + 1, rng);
+    std::vector<sumcheck::EvalClaim> claims_b;
+    for (int i = 0; i < 5; ++i) {
+        std::vector<Fr> z = point(mu + 1);
+        claims_b.push_back({v, z, v.evaluate(z)});
+    }
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::vector<sumcheck::EvalClaim> a = claims_a, b = claims_b;
+        state.ResumeTiming();
+        hash::Transcript tr("bench");
+        auto out_a = sumcheck::proveOpen(std::move(a), tr);
+        auto out_b = sumcheck::proveOpen(std::move(b), tr);
+        benchmark::DoNotOptimize(out_a);
+        benchmark::DoNotOptimize(out_b);
+    }
+    state.SetItemsProcessed(state.iterations() * (claims_a.size() + 5));
+}
+BENCHMARK(BM_OpenCheckHyperPlonkShape)
+    ->Arg(12)
+    ->Arg(14)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/** HyperPlonk's two mKZG opening chains in one pcs::openMany call: g over
+ *  mu variables and v over mu+1 (items = quotients committed). */
+static void
+BM_MkzgOpenChains(benchmark::State &state)
+{
+    const unsigned mu = unsigned(state.range(0));
+    static std::map<unsigned, std::unique_ptr<pcs::Srs>> srs_by_mu;
+    auto &srs = srs_by_mu[mu];
+    if (!srs) {
+        Rng srs_rng(12);
+        srs = std::make_unique<pcs::Srs>(pcs::Srs::generate(mu + 1, srs_rng));
+    }
+    Rng rng(13);
+    const poly::Mle g = poly::Mle::random(mu, rng);
+    const poly::Mle v = poly::Mle::random(mu + 1, rng);
+    std::vector<Fr> z_g, z_v;
+    for (unsigned i = 0; i < mu; ++i)
+        z_g.push_back(Fr::random(rng));
+    for (unsigned i = 0; i <= mu; ++i)
+        z_v.push_back(Fr::random(rng));
+    const poly::Mle *chains[] = {&g, &v};
+    const std::span<const Fr> points[] = {z_g, z_v};
+    for (auto _ : state) {
+        auto proofs = pcs::openMany(*srs, chains, points);
+        benchmark::DoNotOptimize(proofs);
+    }
+    state.SetItemsProcessed(state.iterations() * (2 * mu + 1));
+}
+BENCHMARK(BM_MkzgOpenChains)
     ->Arg(12)
     ->Arg(14)
     ->Unit(benchmark::kMillisecond)

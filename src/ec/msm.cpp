@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <memory>
+#include <numeric>
 #include <vector>
 
 #include "ec/batch_add.hpp"
@@ -37,9 +39,17 @@ pippengerAutoWindow(std::size_t n)
     return unsigned(c);
 }
 
+namespace {
+
+/**
+ * Signed-digit window argmin over c in [2, 16] for n walk points fed in
+ * num_chunks chunks: the suffix-sum aggregation runs once per chunk per
+ * window (MsmAccumulator merges the per-chunk sums), so its term scales
+ * with the chunk count; num_chunks = 1 is the one-shot choice.
+ */
 unsigned
-pippengerAutoWindowSignedBits(std::size_t n, std::size_t scalar_bits,
-                              bool batch_affine)
+windowArgmin(std::size_t n, std::size_t scalar_bits, bool batch_affine,
+             std::size_t num_chunks)
 {
     // Argmin of the per-window cost in Fq-multiplication units (prices in
     // ec::msm_cost, re-fit to the fixed-limb kernel overhaul and shared
@@ -62,13 +72,23 @@ pippengerAutoWindowSignedBits(std::size_t n, std::size_t scalar_bits,
         double nw = double(signedDigitWindows(scalar_bits, c));
         double buckets = double(std::size_t(1) << (c - 1));
         double cost = nw * (double(n) * bucket_add_cost +
-                            buckets * msm_cost::kAggPerBucket);
+                            double(num_chunks) * buckets *
+                                msm_cost::kAggPerBucket);
         if (best_cost == 0 || cost < best_cost) {
             best_cost = cost;
             best = c;
         }
     }
     return best;
+}
+
+} // namespace
+
+unsigned
+pippengerAutoWindowSignedBits(std::size_t n, std::size_t scalar_bits,
+                              bool batch_affine)
+{
+    return windowArgmin(n, scalar_bits, batch_affine, 1);
 }
 
 unsigned
@@ -280,63 +300,138 @@ windowSumBatchAffine(std::span<const G1Affine> points,
     }
 }
 
+/** Window structure of one MSM, fixed from its total point count. */
+struct MsmShape {
+    bool sgn = true;
+    bool glv = false;
+    unsigned c = 0;
+    std::size_t scalarBits = 0;
+    std::size_t numWindows = 0;
+    std::size_t numBuckets = 0;
+};
+
 /**
- * Shared multi-column Pippenger core. Column j's result equals an
- * independent single-column run exactly: per-column state (trivial
- * accumulator, bucket sets, window fold) never mixes across columns; only
- * the point walk, the digit slab, and the batch inversions are shared.
+ * Structural choices for total_points points fed in num_chunks chunks.
+ * GLV rides on the signed-digit pipeline: each dense scalar splits into two
+ * ~128-bit halves (k = k1 + lambda*k2), the walk covers 2n points (phi(P_i)
+ * materialized at index n + i), and the window count per pass halves. It
+ * degrades transparently if the parameter self-checks fail or the op-count
+ * model says the split loses at this size (the window cap makes plain
+ * slicing cheaper past ~2^20 points).
  */
-std::vector<G1Jacobian>
-msmBatchCore(std::span<const std::span<const Fr>> cols,
-             std::span<const G1Affine> points, const MsmOptions &opts,
-             MsmStats *stats)
+MsmShape
+msmShape(std::size_t total_points, const MsmOptions &opts,
+         std::size_t num_chunks)
+{
+    MsmShape sh;
+    sh.sgn = opts.signedDigits;
+    sh.glv = sh.sgn && opts.glv && glv::available() &&
+             msmGlvProfitable(total_points, opts.batchAffine);
+    sh.scalarBits = sh.glv ? glv::kHalfBits : Fr::modulusBits();
+    const std::size_t n_ext = sh.glv ? 2 * total_points : total_points;
+    sh.c = opts.windowBits ? opts.windowBits
+           : sh.sgn ? windowArgmin(n_ext, sh.scalarBits, opts.batchAffine,
+                                   num_chunks)
+                    : pippengerAutoWindow(total_points);
+    assert(sh.c >= 1 && sh.c <= 16);
+    sh.numWindows = sh.sgn ? signedDigitWindows(sh.scalarBits, sh.c)
+                           : (sh.scalarBits + sh.c - 1) / sh.c;
+    sh.numBuckets = sh.sgn ? (std::size_t(1) << (sh.c - 1))
+                           : (std::size_t(1) << sh.c) - 1;
+    return sh;
+}
+
+/** Serial-loop decisions below are taken where a parallel region would run
+ *  inline anyway: a one-thread budget, or inside a pool chunk (nested
+ *  regions never fan out). */
+bool
+runsSerially()
+{
+    return rt::currentThreads() <= 1 || rt::ThreadPool::insideWorker();
+}
+
+/** Combined scatter entries above which windows reduce independently. */
+constexpr std::size_t kCombineMaxEntries = std::size_t(1) << 16;
+
+} // namespace
+
+namespace detail {
+
+/**
+ * One MSM between its phases: the recoded digit slab and walk list of the
+ * current chunk, the per-window bucket sums, and each column's running
+ * trivial-scalar sum. msmBatchCore uses one per call; MsmAccumulator keeps
+ * one across chunks so steady state reuses every buffer.
+ */
+struct MsmWork {
+    MsmShape shape;
+    MsmOptions opts;
+    std::size_t k = 0;
+    std::size_t stride = 0;
+    std::vector<std::int32_t> digits;
+    std::vector<std::uint8_t> klass;
+    std::vector<std::uint32_t> denseOrig;
+    std::vector<std::uint32_t> denseIdx;
+    std::vector<G1Affine> extPoints;
+    std::span<const G1Affine> walk;
+    std::span<const std::uint32_t> dense;
+    std::vector<std::uint32_t> baCols, jacCols;
+    std::vector<G1Jacobian> trivial; ///< Per-column {1}-scalar sums.
+    std::vector<G1Jacobian> sums;    ///< num_windows * k window sums.
+    std::vector<WindowAcc> wacc;
+
+    MsmWork(const MsmShape &sh, const MsmOptions &o, std::size_t cols)
+        : shape(sh), opts(o), k(cols),
+          trivial(cols, G1Jacobian::identity())
+    {
+    }
+
+    /** Combined entry count of the bucket phase (its cache footprint). */
+    std::size_t entries() const
+    {
+        return shape.numWindows * dense.size() * baCols.size();
+    }
+};
+
+} // namespace detail
+
+namespace {
+
+using detail::MsmWork;
+
+/**
+ * Phase 1: classify every scalar of cols and recode the dense ones into the
+ * window-major digit slab (digit of point i, column j, window w at
+ * (w*n_ext + i)*k + j, so a window reads one contiguous slab and a point's
+ * k digits sit together). Trivial {0,1} scalars keep all-zero digits and
+ * {1} scalars join their column's trivial sum. Under GLV the k1 half
+ * recodes into point row i and the k2 half into the phi row n + i.
+ */
+void
+recodeChunk(MsmWork &wk, std::span<const std::span<const Fr>> cols,
+            std::span<const G1Affine> points, MsmStats *stats)
 {
     using Clock = std::chrono::steady_clock;
-    const std::size_t k = cols.size();
+    const auto t0 = Clock::now();
+    // Secret-derived state (digits, point sums, the walk) is written
+    // through these aliases only, so the shape and option fields the
+    // branches below read stay public.
+    std::vector<G1Jacobian> &trivial = wk.trivial;
+    std::vector<G1Affine> &ext_points = wk.extPoints;
+    std::span<const G1Affine> &walk = wk.walk;
+    const MsmShape sh = wk.shape;
+    const MsmOptions &opts = wk.opts;
     const std::size_t n = points.size();
-    std::vector<G1Jacobian> out(k, G1Jacobian::identity());
-    if (k == 0 || n == 0)
-        return out;
-#ifndef NDEBUG
-    for (const auto &col : cols)
-        assert(col.size() == n && "column/point length mismatch");
-#endif
-
-    const bool sgn = opts.signedDigits;
-    // GLV rides on the signed-digit pipeline: each dense scalar splits into
-    // two ~128-bit halves (k = k1 + lambda*k2), the walk covers 2n points
-    // (phi(P_i) materialized once at index n + i), and the window count per
-    // pass halves. Degrades transparently if the parameter self-checks fail
-    // or the op-count model says the split loses at this size (the window
-    // cap makes plain slicing cheaper past ~2^20 points).
-    const bool use_glv = sgn && opts.glv && glv::available() &&
-                         msmGlvProfitable(n, opts.batchAffine);
-    const std::size_t n_ext = use_glv ? 2 * n : n;
-    const unsigned c =
-        opts.windowBits ? opts.windowBits
-        : sgn           ? pippengerAutoWindowSignedBits(
-                  n_ext, use_glv ? glv::kHalfBits : Fr::modulusBits(),
-                  opts.batchAffine)
-                        : pippengerAutoWindow(n);
-    assert(c >= 1 && c <= 16);
-    const std::size_t scalar_bits =
-        use_glv ? glv::kHalfBits : Fr::modulusBits();
-    const std::size_t num_windows = sgn
-                                        ? signedDigitWindows(scalar_bits, c)
-                                        : (scalar_bits + c - 1) / c;
-    const std::size_t num_buckets = sgn ? (std::size_t(1) << (c - 1))
-                                        : (std::size_t(1) << c) - 1;
-
-    // Phase 1: classify every scalar and recode dense ones into the
-    // window-major digit slab (digit of point i, column j, window w at
-    // (w*n_ext + i)*k + j, so a window reads one contiguous slab and a
-    // point's k digits sit together). Trivial {0,1} scalars keep all-zero
-    // digits. Under GLV the k1 half recodes into point row i and the k2
-    // half into the phi row n + i.
-    auto t0 = Clock::now();
-    std::vector<std::int32_t> digits(num_windows * n_ext * k);
-    std::vector<std::uint8_t> klass(n * k); // 0 = zero, 1 = one, 2 = dense
+    const std::size_t k = wk.k;
+    const std::size_t n_ext = sh.glv ? 2 * n : n;
     const std::size_t stride = n_ext * k;
+    const std::size_t slab = sh.numWindows * stride;
+    wk.stride = stride;
+    wk.digits.resize(std::max(wk.digits.size(), slab));
+    std::fill_n(wk.digits.begin(), slab, 0);
+    wk.klass.resize(std::max(wk.klass.size(), n * k));
+    std::int32_t *digits = wk.digits.data();
+    std::uint8_t *klass = wk.klass.data(); // 0 = zero, 1 = one, 2 = dense
     rt::parallelFor(
         0, n,
         [&](std::size_t i) {
@@ -348,20 +443,20 @@ msmBatchCore(std::span<const std::span<const Fr>> cols,
                 if (kl != 2)
                     continue;
                 const auto big = s.toBig();
-                std::int32_t *dst = &digits[i * k + j];
-                if (use_glv) {
+                std::int32_t *dst = digits + i * k + j;
+                if (sh.glv) {
                     ff::BigInt<4> k1, k2;
                     glv::decompose(big, k1, k2);
-                    recodeSignedDigits(k1, c, num_windows, dst, stride);
-                    recodeSignedDigits(k2, c, num_windows,
-                                       &digits[(n + i) * k + j], stride);
-                } else if (sgn) {
-                    recodeSignedDigits(big, c, num_windows, dst, stride);
+                    recodeSignedDigits(k1, sh.c, sh.numWindows, dst, stride);
+                    recodeSignedDigits(k2, sh.c, sh.numWindows,
+                                       digits + (n + i) * k + j, stride);
+                } else if (sh.sgn) {
+                    recodeSignedDigits(big, sh.c, sh.numWindows, dst, stride);
                 } else {
-                    for (std::size_t w = 0; w < num_windows; ++w) {
-                        const std::size_t lo = w * c;
+                    for (std::size_t w = 0; w < sh.numWindows; ++w) {
+                        const std::size_t lo = w * sh.c;
                         const unsigned width = unsigned(
-                            std::min<std::size_t>(c, scalar_bits - lo));
+                            std::min<std::size_t>(sh.c, sh.scalarBits - lo));
                         dst[w * stride] = std::int32_t(big.bits(lo, width));
                     }
                 }
@@ -370,12 +465,11 @@ msmBatchCore(std::span<const std::span<const Fr>> cols,
         /*grain=*/0, /*minGrain=*/256);
 
     // Serial sweep keeps each column's trivial accumulator in index order
-    // (and so its exact Jacobian representation) at every thread count. A
-    // point enters the shared walk list if ANY column is dense there.
-    std::vector<G1Jacobian> trivial(k, G1Jacobian::identity());
+    // (and so its exact Jacobian representation) at every thread count and,
+    // chunks arriving in index order, across chunks. A point enters the
+    // shared walk list if ANY column is dense there.
     std::vector<std::size_t> col_dense(k, 0);
-    std::vector<std::uint32_t> dense_orig; // original indices with any dense
-    dense_orig.reserve(n);
+    wk.denseOrig.clear();
     for (std::size_t i = 0; i < n; ++i) {
         bool any_dense = false;
         for (std::size_t j = 0; j < k; ++j) {
@@ -395,126 +489,149 @@ msmBatchCore(std::span<const std::span<const Fr>> cols,
                 any_dense = true;
                 // The batch-affine floor compares bucket-add entries, of
                 // which a GLV-split scalar contributes two.
-                col_dense[j] += use_glv ? 2 : 1;
+                col_dense[j] += sh.glv ? 2 : 1;
                 if (stats)
                     ++stats->denseScalars;
                 break;
             }
         }
         if (any_dense)
-            dense_orig.push_back(std::uint32_t(i));
+            wk.denseOrig.push_back(std::uint32_t(i));
     }
 
     // The bucket walk list over extended indices, and (GLV only) the
     // extended point array: original points first, phi points at n + i —
     // filled only where some column is dense (one Fq mul each).
-    std::vector<std::uint32_t> dense_idx;
-    std::vector<G1Affine> ext_points;
-    std::span<const G1Affine> walk_points = points;
-    if (use_glv) {
-        dense_idx.resize(2 * dense_orig.size());
-        for (std::size_t d = 0; d < dense_orig.size(); ++d) {
-            dense_idx[2 * d] = dense_orig[d];
-            dense_idx[2 * d + 1] = std::uint32_t(n + dense_orig[d]);
+    wk.dense = wk.denseOrig;
+    walk = points;
+    if (sh.glv) {
+        const std::size_t nd = wk.denseOrig.size();
+        wk.denseIdx.resize(2 * nd);
+        for (std::size_t d = 0; d < nd; ++d) {
+            wk.denseIdx[2 * d] = wk.denseOrig[d];
+            wk.denseIdx[2 * d + 1] = std::uint32_t(n + wk.denseOrig[d]);
         }
-        ext_points.resize(2 * n);
+        ext_points.resize(std::max(ext_points.size(), 2 * n));
         std::copy(points.begin(), points.end(), ext_points.begin());
         rt::parallelFor(
-            0, dense_orig.size(),
+            0, nd,
             [&](std::size_t d) {
-                const std::uint32_t i = dense_orig[d];
+                const std::uint32_t i = wk.denseOrig[d];
                 ext_points[n + i] = glv::endomorphism(points[i]);
             },
             /*grain=*/0, /*minGrain=*/512);
-        walk_points = ext_points;
-    } else {
-        dense_idx = std::move(dense_orig);
+        wk.dense = std::span<const std::uint32_t>(wk.denseIdx.data(), 2 * nd);
+        walk = std::span<const G1Affine>(ext_points.data(), 2 * n);
     }
-    if (stats)
-        stats->recodeMs += msSince(t0);
 
-    // Phase 2: bucket accumulation per window, windows in parallel. Each
-    // window's sums are computed by exactly the serial per-window sequence,
-    // and the fold below replays the serial double-and-add order, so the
-    // result is bit-identical to a single-threaded run. Per-window stats
-    // are summed in window order for the same reason. The batched-affine
-    // path pays one true inversion per reduction round per window, which
-    // only amortizes over enough dense points.
-    t0 = Clock::now();
     // Path selection is per COLUMN on the column's own dense count, so a
     // sparse column inside a dense batch takes exactly the path (and so
     // produces exactly the Jacobian representation) its solo run would.
-    std::vector<std::uint32_t> ba_cols, jac_cols;
+    wk.baCols.clear();
+    wk.jacCols.clear();
     for (std::size_t j = 0; j < k; ++j) {
-        if (sgn && opts.batchAffine &&
+        if (sh.sgn && opts.batchAffine &&
             col_dense[j] >= opts.batchAffineMinPoints)
-            ba_cols.push_back(std::uint32_t(j));
+            wk.baCols.push_back(std::uint32_t(j));
         else
-            jac_cols.push_back(std::uint32_t(j));
+            wk.jacCols.push_back(std::uint32_t(j));
     }
-    std::vector<G1Jacobian> sums(num_windows * k);
-    std::vector<WindowAcc> wacc(num_windows);
-    // Below ~256 dense points the per-window work is microseconds and pool
-    // dispatch would dominate (mKZG's opening loop issues many shrinking
-    // MSMs down to n = 1), so run the window loop inline.
-    rt::ScopedThreads serialSmall(dense_idx.size() < 256 ? 1u : 0u);
-    // Serial path: round-synchronize the batch inversion across windows by
-    // reducing every window in ONE segmented batched-affine call — each
-    // pairwise round then pays a single true inversion instead of one per
-    // window (bit-identical; see windowSumBatchAffine). Below the entry
-    // cap this is a measured 1.2-1.6x on the small MSMs of mKZG opening
-    // chains (n <= ~2^11: ~200 inversions collapse to ~7); above it the
-    // combined scatter's working set outgrows the cache and the per-round
-    // inversions are noise next to the bucket adds, so windows reduce
-    // independently (which is also what the parallel path needs).
-    constexpr std::size_t kCombineMaxEntries = std::size_t(1) << 16;
-    const bool combine_windows =
-        !ba_cols.empty() && num_windows > 1 && rt::currentThreads() <= 1 &&
-        num_windows * dense_idx.size() * ba_cols.size() <=
-            kCombineMaxEntries;
-    if (combine_windows) {
-        windowSumBatchAffine(walk_points, dense_idx, digits.data(), stride,
-                             num_windows, k, ba_cols, num_buckets,
-                             sums.data(), wacc[0]);
-        for (std::size_t w = 0; w < num_windows && !jac_cols.empty(); ++w)
-            for (std::uint32_t j : jac_cols)
-                sums[w * k + j] = windowSumJacobian(
-                    walk_points, dense_idx, digits.data() + w * stride + j,
-                    k, num_buckets, wacc[w]);
-    } else {
-        rt::parallelFor(
-            0, num_windows,
-            [&](std::size_t w) {
-                const std::int32_t *wdig = digits.data() + w * stride;
-                if (!ba_cols.empty())
-                    windowSumBatchAffine(walk_points, dense_idx, wdig,
-                                         stride, /*num_win=*/1, k, ba_cols,
-                                         num_buckets, &sums[w * k], wacc[w]);
-                for (std::uint32_t j : jac_cols)
-                    sums[w * k + j] = windowSumJacobian(
-                        walk_points, dense_idx, wdig + j, k, num_buckets,
-                        wacc[w]);
-            },
-            /*grain=*/1);
-    }
-    if (stats) {
-        for (const WindowAcc &a : wacc) {
-            stats->pointAdds += a.pointAdds;
-            stats->affineAdds += a.affineAdds;
-            stats->batchInversions += a.batchInversions;
-        }
-        stats->bucketMs += msSince(t0);
-    }
+    wk.sums.assign(sh.numWindows * k, G1Jacobian::identity());
+    wk.wacc.assign(sh.numWindows, WindowAcc{});
+    if (stats)
+        stats->recodeMs += msSince(t0);
+}
 
-    // Phase 3: fold windows from most significant down, c doublings between,
-    // independently per column.
-    t0 = Clock::now();
+/**
+ * Phase 2 for windows [w0, w1) in one serial call. Reducing several windows
+ * in ONE segmented batched-affine call round-synchronizes the batch
+ * inversion: each pairwise round then pays a single true inversion instead
+ * of one per window (bit-identical; see windowSumBatchAffine). Below the
+ * entry cap this is a measured 1.2-1.6x on the small MSMs of mKZG opening
+ * chains (n <= ~2^11: ~200 inversions collapse to ~7); above it the
+ * combined scatter's working set outgrows the cache and the per-round
+ * inversions are noise next to the bucket adds, so windows reduce
+ * independently.
+ */
+void
+bucketWindows(MsmWork &wk, std::size_t w0, std::size_t w1)
+{
+    if (!wk.baCols.empty())
+        windowSumBatchAffine(wk.walk, wk.dense,
+                             wk.digits.data() + w0 * wk.stride, wk.stride,
+                             w1 - w0, wk.k, wk.baCols, wk.shape.numBuckets,
+                             &wk.sums[w0 * wk.k], wk.wacc[w0]);
+    for (std::size_t w = w0; w < w1 && !wk.jacCols.empty(); ++w)
+        for (std::uint32_t j : wk.jacCols)
+            wk.sums[w * wk.k + j] = windowSumJacobian(
+                wk.walk, wk.dense, wk.digits.data() + w * wk.stride + j,
+                wk.k, wk.shape.numBuckets, wk.wacc[w]);
+}
+
+/** Whether a serial bucket phase reduces all windows in one call. */
+bool
+combinesWindows(const MsmWork &wk)
+{
+    return !wk.baCols.empty() && wk.shape.numWindows > 1 &&
+           wk.entries() <= kCombineMaxEntries;
+}
+
+/** Add the per-window op counts to stats, in window order. */
+void
+mergeWindowStats(const MsmWork &wk, MsmStats *stats)
+{
+    if (!stats)
+        return;
+    for (const WindowAcc &a : wk.wacc) {
+        stats->pointAdds += a.pointAdds;
+        stats->affineAdds += a.affineAdds;
+        stats->batchInversions += a.batchInversions;
+    }
+}
+
+/**
+ * Phase 2: bucket accumulation, windows in parallel. Each window's sums are
+ * computed by exactly the serial per-window sequence and the fold replays
+ * the serial double-and-add order, so the result is bit-identical to a
+ * single-threaded run. Below ~256 dense points the per-window work is
+ * microseconds and pool dispatch would dominate (mKZG's opening loop
+ * issues many shrinking MSMs down to n = 1), so the window loop runs
+ * inline.
+ */
+void
+bucketPhase(MsmWork &wk, MsmStats *stats)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto t0 = Clock::now();
+    rt::ScopedThreads serial_small(wk.dense.size() < 256 ? 1u : 0u);
+    if (runsSerially() && combinesWindows(wk))
+        bucketWindows(wk, 0, wk.shape.numWindows);
+    else
+        rt::parallelFor(
+            0, wk.shape.numWindows,
+            [&](std::size_t w) { bucketWindows(wk, w, w + 1); },
+            /*grain=*/1);
+    mergeWindowStats(wk, stats);
+    if (stats)
+        stats->bucketMs += msSince(t0);
+}
+
+/** Phase 3: fold windows from most significant down, c doublings between,
+ *  independently per column, then add the column's trivial sum. */
+std::vector<G1Jacobian>
+foldWindows(const MsmShape &sh, std::span<const G1Jacobian> sums,
+            std::span<const G1Jacobian> trivial, MsmStats *stats)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto t0 = Clock::now();
+    const std::size_t k = trivial.size();
+    std::vector<G1Jacobian> out(k, G1Jacobian::identity());
     for (std::size_t j = 0; j < k; ++j) {
         G1Jacobian result = G1Jacobian::identity();
-        for (std::size_t w = num_windows; w-- > 0;) {
+        for (std::size_t w = sh.numWindows; w-- > 0;) {
             // zkphire-lint: ct-exempt(skips doublings only while the fold accumulator is still the identity)
-            if (!result.isIdentity() || w + 1 != num_windows) {
-                for (unsigned d = 0; d < c; ++d) {
+            if (!result.isIdentity() || w + 1 != sh.numWindows) {
+                for (unsigned d = 0; d < sh.c; ++d) {
                     result = result.dbl();
                     if (stats)
                         ++stats->pointDoubles;
@@ -529,6 +646,31 @@ msmBatchCore(std::span<const std::span<const Fr>> cols,
     if (stats)
         stats->foldMs += msSince(t0);
     return out;
+}
+
+/**
+ * Shared multi-column Pippenger core. Column j's result equals an
+ * independent single-column run exactly: per-column state (trivial
+ * accumulator, bucket sets, window fold) never mixes across columns; only
+ * the point walk, the digit slab, and the batch inversions are shared.
+ */
+std::vector<G1Jacobian>
+msmBatchCore(std::span<const std::span<const Fr>> cols,
+             std::span<const G1Affine> points, const MsmOptions &opts,
+             MsmStats *stats)
+{
+    const std::size_t k = cols.size();
+    const std::size_t n = points.size();
+    if (k == 0 || n == 0)
+        return std::vector<G1Jacobian>(k, G1Jacobian::identity());
+#ifndef NDEBUG
+    for (const auto &col : cols)
+        assert(col.size() == n && "column/point length mismatch");
+#endif
+    MsmWork wk(msmShape(n, opts, 1), opts, k);
+    recodeChunk(wk, cols, points, stats);
+    bucketPhase(wk, stats);
+    return foldWindows(wk.shape, wk.sums, wk.trivial, stats);
 }
 
 } // namespace
@@ -561,71 +703,126 @@ msmBatch(std::span<const std::span<const Fr>> cols,
     return msmBatchCore(cols, points, opts, stats);
 }
 
+std::vector<G1Jacobian>
+msmMany(std::span<const MsmJob> jobs, const MsmOptions &opts, MsmStats *stats)
+{
+    using Clock = std::chrono::steady_clock;
+    const std::size_t m = jobs.size();
+    std::vector<G1Jacobian> out(m, G1Jacobian::identity());
+    std::vector<MsmStats> job_stats(m);
+    std::vector<std::unique_ptr<MsmWork>> split(m); // window-split jobs
+
+    // Largest job first: the schedule hands tasks out in list order, so
+    // the split jobs' window groups start first and the whole jobs fill
+    // the tail.
+    std::vector<std::size_t> order(m);
+    std::iota(order.begin(), order.end(), std::size_t(0));
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return jobs[a].points.size() > jobs[b].points.size();
+                     });
+
+    // A job whose all-dense window scatter fits kTaskMaxEntries runs whole
+    // as one task (serially on one worker, every window sharing each batch
+    // inversion). A larger job is recoded here and split into groups of
+    // consecutive windows, each group within the cap (one window once a
+    // single window exceeds it), and each group shares its inversions.
+    // The cap bounds the batched-affine scratch every worker keeps to
+    // ~2 MB; at the serial path's 2^16 it is ~9 MB per worker, which
+    // raised a 2-lane service's peak RSS by ~30%.
+    constexpr std::size_t kTaskMaxEntries = std::size_t(1) << 14;
+    struct Task {
+        std::size_t job, w0, w1; ///< w0 == w1: the whole job.
+    };
+    std::vector<Task> tasks;
+    for (std::size_t j : order) {
+        const MsmJob &job = jobs[j];
+        assert(job.scalars.size() == job.points.size());
+        const std::size_t n = job.points.size();
+        if (n == 0)
+            continue;
+        const MsmShape sh = msmShape(n, opts, 1);
+        const std::size_t n_ext = sh.glv ? 2 * n : n;
+        if (sh.numWindows * n_ext <= kTaskMaxEntries) {
+            tasks.push_back({j, 0, 0});
+            continue;
+        }
+        split[j] = std::make_unique<MsmWork>(sh, opts, 1);
+        recodeChunk(*split[j],
+                    std::span<const std::span<const Fr>>(&job.scalars, 1),
+                    job.points, &job_stats[j]);
+        const std::size_t group =
+            std::max<std::size_t>(kTaskMaxEntries / n_ext, 1);
+        for (std::size_t w = 0; w < sh.numWindows; w += group)
+            tasks.push_back({j, w, std::min(sh.numWindows, w + group)});
+    }
+
+    const auto t0 = Clock::now();
+    rt::parallelFor(
+        0, tasks.size(),
+        [&](std::size_t t) {
+            const std::size_t j = tasks[t].job;
+            if (tasks[t].w0 != tasks[t].w1) {
+                bucketWindows(*split[j], tasks[t].w0, tasks[t].w1);
+                return;
+            }
+            out[j] = msmBatchCore(
+                std::span<const std::span<const Fr>>(&jobs[j].scalars, 1),
+                jobs[j].points, opts, &job_stats[j])[0];
+        },
+        /*grain=*/1);
+    const double schedule_ms = msSince(t0);
+
+    for (std::size_t j = 0; j < m; ++j) {
+        if (split[j]) {
+            mergeWindowStats(*split[j], &job_stats[j]);
+            out[j] = foldWindows(split[j]->shape, split[j]->sums,
+                                 split[j]->trivial, &job_stats[j])[0];
+        }
+        if (stats) {
+            // A whole job's phases ran inside the schedule, whose wall time
+            // is its bucketMs; keep only its op counts.
+            MsmStats s = job_stats[j];
+            if (!split[j])
+                s.recodeMs = s.bucketMs = s.foldMs = 0;
+            *stats += s;
+        }
+    }
+    if (stats)
+        stats->bucketMs += schedule_ms;
+    return out;
+}
+
 MsmAccumulator::MsmAccumulator(std::size_t total_points, std::size_t num_cols,
                                const MsmOptions &opts, MsmStats *stats,
                                std::size_t chunk_hint)
-    : opts_(opts), stats_(stats), totalN_(total_points), k_(num_cols),
-      sgn_(opts.signedDigits)
+    : stats_(stats), totalN_(total_points), k_(num_cols)
 {
     assert(total_points > 0 && num_cols > 0);
     // Structural choices (GLV split, window width) are fixed from the TOTAL
     // point count, exactly like a one-shot run over the concatenated chunks
     // would fix them — per-point bucket work is then identical; streaming
-    // only adds the per-chunk window-sum merges.
-    useGlv_ = sgn_ && opts.glv && glv::available() &&
-              msmGlvProfitable(total_points, opts.batchAffine);
-    const std::size_t n_ext = useGlv_ ? 2 * total_points : total_points;
-    scalarBits_ = useGlv_ ? glv::kHalfBits : Fr::modulusBits();
-    if (opts.windowBits != 0) {
-        c_ = opts.windowBits;
-    } else if (!sgn_) {
-        c_ = pippengerAutoWindow(total_points);
-    } else {
-        // Chunked variant of pippengerAutoWindowSignedBits' argmin: the
-        // suffix-sum aggregation runs once per CHUNK per window (its
-        // per-chunk sums are then merged), so its term scales with the
-        // chunk count. At the default 2^20-element chunk this leaves the
-        // optimum at the one-shot width until chunks get tiny, and the
-        // added aggregation stays a low-double-digit-percent overhead.
-        const std::size_t num_chunks =
-            chunk_hint != 0
-                ? (total_points + chunk_hint - 1) / chunk_hint
-                : 1;
-        const double bucket_add = opts.batchAffine
-                                      ? msm_cost::kBatchAffineAdd
-                                      : msm_cost::kMixedAdd;
-        double best_cost = 0;
-        unsigned best = 2;
-        for (unsigned c = 2; c <= 16; ++c) {
-            const double nw = double(signedDigitWindows(scalarBits_, c));
-            const double buckets = double(std::size_t(1) << (c - 1));
-            const double cost =
-                nw * (double(n_ext) * bucket_add +
-                      double(num_chunks) * buckets * msm_cost::kAggPerBucket);
-            if (best_cost == 0 || cost < best_cost) {
-                best_cost = cost;
-                best = c;
-            }
-        }
-        c_ = best;
-    }
-    assert(c_ >= 1 && c_ <= 16);
-    numWindows_ = sgn_ ? signedDigitWindows(scalarBits_, c_)
-                       : (scalarBits_ + c_ - 1) / c_;
-    numBuckets_ = sgn_ ? (std::size_t(1) << (c_ - 1))
-                       : (std::size_t(1) << c_) - 1;
-    windowSums_.assign(numWindows_ * k_, G1Jacobian::identity());
-    trivial_.assign(k_, G1Jacobian::identity());
+    // only adds the per-chunk window-sum merges. The window argmin charges
+    // the suffix-sum aggregation once per chunk, which leaves the optimum
+    // at the one-shot width until chunks get tiny (the added aggregation
+    // stays a low-double-digit-percent overhead at the default 2^20-element
+    // chunk).
+    const std::size_t num_chunks =
+        chunk_hint != 0 ? (total_points + chunk_hint - 1) / chunk_hint : 1;
+    work_ = std::make_unique<detail::MsmWork>(
+        msmShape(total_points, opts, num_chunks), opts, num_cols);
+    c_ = work_->shape.c;
+    windowSums_.assign(work_->shape.numWindows * k_, G1Jacobian::identity());
 }
+
+MsmAccumulator::~MsmAccumulator() = default;
 
 void
 MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
                     std::span<const G1Affine> points)
 {
-    using Clock = std::chrono::steady_clock;
     const std::size_t n = points.size();
-    const std::size_t k = k_;
-    assert(cols.size() == k && "column count is fixed at construction");
+    assert(cols.size() == k_ && "column count is fixed at construction");
     if (n == 0)
         return;
     rt::failpoint("msm.accum"); // before any bucket state is touched, so an
@@ -638,172 +835,18 @@ MsmAccumulator::add(std::span<const std::span<const Fr>> cols,
     assert(seen_ + n <= totalN_ && "more points than announced at ctor");
     seen_ += n;
 
-    // Phase 1 (per chunk): classify + recode into the reused digit slab,
-    // same layout as msmBatchCore's but chunk-sized. Only the region this
-    // chunk uses is re-zeroed.
-    auto t0 = Clock::now();
-    const std::size_t n_ext = useGlv_ ? 2 * n : n;
-    const std::size_t stride = n_ext * k;
-    const std::size_t slab = numWindows_ * stride;
-    if (digits_.size() < slab)
-        digits_.resize(slab);
-    std::fill_n(digits_.begin(), slab, 0);
-    if (klass_.size() < n * k)
-        klass_.resize(n * k);
-    const bool use_glv = useGlv_;
-    const unsigned c = c_;
-    const std::size_t num_windows = numWindows_;
-    const std::size_t scalar_bits = scalarBits_;
-    rt::parallelFor(
-        0, n,
-        [&](std::size_t i) {
-            for (std::size_t j = 0; j < k; ++j) {
-                const Fr &s = cols[j][i];
-                // zkphire-lint: ct-exempt(trivial-scalar skip is the Pippenger win; scalar-shaped timing is inherent to bucket MSM)
-                const std::uint8_t kl = s.isZero() ? 0 : s.isOne() ? 1 : 2;
-                klass_[i * k + j] = kl;
-                if (kl != 2)
-                    continue;
-                const auto big = s.toBig();
-                std::int32_t *dst = &digits_[i * k + j];
-                if (use_glv) {
-                    ff::BigInt<4> k1, k2;
-                    glv::decompose(big, k1, k2);
-                    recodeSignedDigits(k1, c, num_windows, dst, stride);
-                    recodeSignedDigits(k2, c, num_windows,
-                                       &digits_[(n + i) * k + j], stride);
-                } else if (sgn_) {
-                    recodeSignedDigits(big, c, num_windows, dst, stride);
-                } else {
-                    for (std::size_t w = 0; w < num_windows; ++w) {
-                        const std::size_t lo = w * c;
-                        const unsigned width = unsigned(
-                            std::min<std::size_t>(c, scalar_bits - lo));
-                        dst[w * stride] = std::int32_t(big.bits(lo, width));
-                    }
-                }
-            }
-        },
-        /*grain=*/0, /*minGrain=*/256);
-
-    // Serial in-order sweep, and chunks arrive in index order, so each
-    // column's trivial accumulator sees the points in the exact global
-    // order of the one-shot kernel.
-    std::vector<std::size_t> col_dense(k, 0);
-    denseOrig_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-        bool any_dense = false;
-        for (std::size_t j = 0; j < k; ++j) {
-            switch (klass_[i * k + j]) {
-            case 0:
-                if (stats_)
-                    ++stats_->trivialScalars;
-                break;
-            case 1:
-                trivial_[j] = trivial_[j].addMixed(points[i]);
-                if (stats_) {
-                    ++stats_->trivialScalars;
-                    ++stats_->pointAdds;
-                }
-                break;
-            default:
-                any_dense = true;
-                col_dense[j] += use_glv ? 2 : 1;
-                if (stats_)
-                    ++stats_->denseScalars;
-                break;
-            }
-        }
-        if (any_dense)
-            denseOrig_.push_back(std::uint32_t(i));
-    }
-
-    std::span<const std::uint32_t> dense_idx(denseOrig_);
-    std::span<const G1Affine> walk_points = points;
-    if (use_glv) {
-        denseIdx_.resize(2 * denseOrig_.size());
-        for (std::size_t d = 0; d < denseOrig_.size(); ++d) {
-            denseIdx_[2 * d] = denseOrig_[d];
-            denseIdx_[2 * d + 1] = std::uint32_t(n + denseOrig_[d]);
-        }
-        if (extPoints_.size() < 2 * n)
-            extPoints_.resize(2 * n);
-        std::copy(points.begin(), points.end(), extPoints_.begin());
-        rt::parallelFor(
-            0, denseOrig_.size(),
-            [&](std::size_t d) {
-                const std::uint32_t i = denseOrig_[d];
-                extPoints_[n + i] = glv::endomorphism(points[i]);
-            },
-            /*grain=*/0, /*minGrain=*/512);
-        dense_idx = std::span<const std::uint32_t>(denseIdx_.data(),
-                                                   2 * denseOrig_.size());
-        walk_points =
-            std::span<const G1Affine>(extPoints_.data(), 2 * n);
-    }
+    // Recode and bucket this chunk into the reused work buffers, then merge
+    // its window sums into the persistent ones. Window sums are linear in
+    // the buckets and buckets are additive across chunks, so summing
+    // per-chunk aggregates equals aggregating the merged buckets — the
+    // group value matches the one-shot kernel's exactly.
+    detail::MsmWork &wk = *work_;
+    recodeChunk(wk, cols, points, stats_);
+    bucketPhase(wk, stats_);
+    for (std::size_t i = 0; i < windowSums_.size(); ++i)
+        windowSums_[i] = windowSums_[i].add(wk.sums[i]);
     if (stats_)
-        stats_->recodeMs += msSince(t0);
-
-    // Phase 2 (per chunk): bucket accumulation + per-window aggregation,
-    // then merge this chunk's window sums into the persistent ones. Window
-    // sums are linear in the buckets and buckets are additive across
-    // chunks, so summing per-chunk aggregates equals aggregating the merged
-    // buckets — the group value matches the one-shot kernel's exactly.
-    t0 = Clock::now();
-    std::vector<std::uint32_t> ba_cols, jac_cols;
-    for (std::size_t j = 0; j < k; ++j) {
-        if (sgn_ && opts_.batchAffine &&
-            col_dense[j] >= opts_.batchAffineMinPoints)
-            ba_cols.push_back(std::uint32_t(j));
-        else
-            jac_cols.push_back(std::uint32_t(j));
-    }
-    chunkSums_.assign(num_windows * k, G1Jacobian::identity());
-    std::vector<WindowAcc> wacc(num_windows);
-    const std::size_t num_buckets = numBuckets_;
-    rt::ScopedThreads serialSmall(dense_idx.size() < 256 ? 1u : 0u);
-    constexpr std::size_t kCombineMaxEntries = std::size_t(1) << 16;
-    const bool combine_windows =
-        !ba_cols.empty() && num_windows > 1 && rt::currentThreads() <= 1 &&
-        num_windows * dense_idx.size() * ba_cols.size() <=
-            kCombineMaxEntries;
-    if (combine_windows) {
-        windowSumBatchAffine(walk_points, dense_idx, digits_.data(), stride,
-                             num_windows, k, ba_cols, num_buckets,
-                             chunkSums_.data(), wacc[0]);
-        for (std::size_t w = 0; w < num_windows && !jac_cols.empty(); ++w)
-            for (std::uint32_t j : jac_cols)
-                chunkSums_[w * k + j] = windowSumJacobian(
-                    walk_points, dense_idx, digits_.data() + w * stride + j,
-                    k, num_buckets, wacc[w]);
-    } else {
-        rt::parallelFor(
-            0, num_windows,
-            [&](std::size_t w) {
-                const std::int32_t *wdig = digits_.data() + w * stride;
-                if (!ba_cols.empty())
-                    windowSumBatchAffine(walk_points, dense_idx, wdig,
-                                         stride, /*num_win=*/1, k, ba_cols,
-                                         num_buckets, &chunkSums_[w * k],
-                                         wacc[w]);
-                for (std::uint32_t j : jac_cols)
-                    chunkSums_[w * k + j] = windowSumJacobian(
-                        walk_points, dense_idx, wdig + j, k, num_buckets,
-                        wacc[w]);
-            },
-            /*grain=*/1);
-    }
-    for (std::size_t i = 0; i < num_windows * k; ++i)
-        windowSums_[i] = windowSums_[i].add(chunkSums_[i]);
-    if (stats_) {
-        for (const WindowAcc &a : wacc) {
-            stats_->pointAdds += a.pointAdds;
-            stats_->affineAdds += a.affineAdds;
-            stats_->batchInversions += a.batchInversions;
-        }
-        stats_->pointAdds += num_windows * k; // chunk-sum merges
-        stats_->bucketMs += msSince(t0);
-    }
+        stats_->pointAdds += windowSums_.size(); // chunk-sum merges
 }
 
 void
@@ -818,33 +861,9 @@ MsmAccumulator::add(std::span<const Fr> scalars,
 std::vector<G1Jacobian>
 MsmAccumulator::finalize()
 {
-    using Clock = std::chrono::steady_clock;
     assert(seen_ == totalN_ && "finalize before all chunks were added");
-    // Phase 3: fold windows most-significant-down with c doublings between,
-    // independently per column — verbatim the one-shot kernel's fold over
-    // the merged window sums.
-    auto t0 = Clock::now();
-    std::vector<G1Jacobian> out(k_, G1Jacobian::identity());
-    for (std::size_t j = 0; j < k_; ++j) {
-        G1Jacobian result = G1Jacobian::identity();
-        for (std::size_t w = numWindows_; w-- > 0;) {
-            // zkphire-lint: ct-exempt(skips doublings only while the fold accumulator is still the identity)
-            if (!result.isIdentity() || w + 1 != numWindows_) {
-                for (unsigned d = 0; d < c_; ++d) {
-                    result = result.dbl();
-                    if (stats_)
-                        ++stats_->pointDoubles;
-                }
-            }
-            result = result.add(windowSums_[w * k_ + j]);
-            if (stats_)
-                ++stats_->pointAdds;
-        }
-        out[j] = result.add(trivial_[j]);
-    }
-    if (stats_)
-        stats_->foldMs += msSince(t0);
-    return out;
+    // The one-shot kernel's fold, over the merged window sums.
+    return foldWindows(work_->shape, windowSums_, work_->trivial, stats_);
 }
 
 G1Jacobian

@@ -19,6 +19,7 @@
 #define ZKPHIRE_EC_MSM_HPP
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -39,6 +40,22 @@ struct MsmStats {
     double recodeMs = 0; ///< Scalar classify + signed-digit recoding.
     double bucketMs = 0; ///< Bucket accumulation + per-window aggregation.
     double foldMs = 0;   ///< Window fold (doublings + adds).
+
+    /** Fold another run's counts and timings into this one. Concurrent
+     *  runs each fill their own MsmStats; the owner sums them after. */
+    MsmStats &operator+=(const MsmStats &o)
+    {
+        pointAdds += o.pointAdds;
+        pointDoubles += o.pointDoubles;
+        trivialScalars += o.trivialScalars;
+        denseScalars += o.denseScalars;
+        affineAdds += o.affineAdds;
+        batchInversions += o.batchInversions;
+        recodeMs += o.recodeMs;
+        bucketMs += o.bucketMs;
+        foldMs += o.foldMs;
+        return *this;
+    }
 };
 
 /**
@@ -75,6 +92,7 @@ struct MsmOptions {
 
 namespace detail {
 inline thread_local MsmOptions t_msmOptions{};
+struct MsmWork;
 } // namespace detail
 
 /** Options used when a call site does not pass explicit MsmOptions. */
@@ -144,6 +162,27 @@ std::vector<G1Jacobian> msmBatch(std::span<const std::span<const Fr>> cols,
                                  std::span<const G1Affine> points,
                                  const MsmOptions &opts = currentMsmOptions(),
                                  MsmStats *stats = nullptr);
+
+/** One independent MSM of an msmMany schedule. */
+struct MsmJob {
+    std::span<const Fr> scalars;
+    std::span<const G1Affine> points; ///< Same length as scalars.
+};
+
+/**
+ * Several independent MSMs, each over its own point array, in ONE parallel
+ * schedule — the shape of mKZG opening chains, whose per-level quotients
+ * shrink from 2^(mu-1) points down to one. A small job is one task that
+ * runs whole on one worker, serially, sharing each batch inversion across
+ * all its windows. A large job is recoded up front and split by window into
+ * tasks of consecutive windows, each within the same scatter-size cap.
+ * Tasks are handed out largest job first. out[j] equals msmPippenger on
+ * job j exactly; stats gets the summed op counts, the recode and fold time
+ * of the split jobs, and the schedule's wall time as bucketMs.
+ */
+std::vector<G1Jacobian> msmMany(std::span<const MsmJob> jobs,
+                                const MsmOptions &opts = currentMsmOptions(),
+                                MsmStats *stats = nullptr);
 
 /**
  * Fq-multiplication prices of the MSM pipeline's point operations with
@@ -236,30 +275,21 @@ class MsmAccumulator
     /** Fold windows + trivial accumulators; call once, after all chunks. */
     std::vector<G1Jacobian> finalize();
 
+    ~MsmAccumulator();
+
     unsigned windowBits() const { return c_; }
     std::size_t pointsSeen() const { return seen_; }
 
   private:
-    MsmOptions opts_;
     MsmStats *stats_;
     std::size_t totalN_;
     std::size_t k_;
     std::size_t seen_ = 0;
-    bool sgn_;
-    bool useGlv_;
     unsigned c_ = 0;
-    std::size_t scalarBits_;
-    std::size_t numWindows_;
-    std::size_t numBuckets_;
+    /** Window structure, per-column trivial sums and the chunk scratch
+     *  (digit slab, walk list, window sums), reused across add() calls. */
+    std::unique_ptr<detail::MsmWork> work_;
     std::vector<G1Jacobian> windowSums_; ///< num_windows * k partial sums.
-    std::vector<G1Jacobian> trivial_;    ///< Per-column {1}-scalar sums.
-    // Chunk scratch reused across add() calls (sized to the largest chunk).
-    std::vector<std::int32_t> digits_;
-    std::vector<std::uint8_t> klass_;
-    std::vector<std::uint32_t> denseOrig_;
-    std::vector<std::uint32_t> denseIdx_;
-    std::vector<G1Affine> extPoints_;
-    std::vector<G1Jacobian> chunkSums_;
 };
 
 /**

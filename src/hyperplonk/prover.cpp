@@ -20,23 +20,6 @@ msSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/** Fold one unit's private MSM counters into the proof-wide stats. Units
- *  must never share one MsmStats (concurrent +=); each gets its own and the
- *  owner merges them in unit order after the batch drains. */
-void
-mergeMsmStats(ec::MsmStats &into, const ec::MsmStats &part)
-{
-    into.pointAdds += part.pointAdds;
-    into.pointDoubles += part.pointDoubles;
-    into.trivialScalars += part.trivialScalars;
-    into.denseScalars += part.denseScalars;
-    into.affineAdds += part.affineAdds;
-    into.batchInversions += part.batchInversions;
-    into.recodeMs += part.recodeMs;
-    into.bucketMs += part.bucketMs;
-    into.foldMs += part.foldMs;
-}
-
 /** True when opts carry a runner that can actually spread work. */
 bool
 sharded(const ProveOptions &opts)
@@ -82,7 +65,7 @@ commitColumnsSharded(const pcs::Srs &srs, std::span<const Mle> polys,
     for (std::size_t u = 0; u < width; ++u) {
         for (auto &c : groups[u])
             comms.push_back(c);
-        mergeMsmStats(stats, groupStats[u]);
+        stats += groupStats[u]; // units never share one MsmStats
     }
     return comms;
 }
@@ -306,44 +289,29 @@ proveOnline(const ProvingKey &pk, SetupState setup_state, ProverStats *stats,
     rt::checkCancel();
     t0 = Clock::now();
     Fr rho = tr.challengeFr("rho_a");
-    std::vector<Mle> polys_a;
+    // g = Sum_i rho^i f_i over the OpenCheck A polynomials, in claim order.
+    std::vector<const Mle *> polys_a;
     polys_a.reserve(numSelectorCols(pk.sys) + 3 * k + 1);
     for (const Mle &sel : pk.selectors)
-        polys_a.push_back(sel);
+        polys_a.push_back(&sel);
     for (const Mle &w : witness)
-        polys_a.push_back(w);
+        polys_a.push_back(&w);
     for (const Mle &w : witness)
-        polys_a.push_back(w);
+        polys_a.push_back(&w);
     for (const Mle &sig : pk.perm.sigma)
-        polys_a.push_back(sig);
-    polys_a.push_back(fracs.phi);
-    // The two opening chains cannot be level-zipped: g has mu variables but
-    // v has mu+1, and each level's quotient basis depends on the variable
-    // set, so the chains share no points (pcs::openMany batches same-size
-    // chains when a workload has them). They ARE independent of each other
-    // — both challenges are already drawn — so sharded they run as two
-    // units on different lanes.
-    if (sharded(opts)) {
-        ec::MsmStats stats_a, stats_b;
-        const std::function<void()> chains[2] = {
-            [&] {
-                ec::ScopedMsmOptions msmScope(opts.msm);
-                proof.pcsA = pcs::batchOpen(srs, polys_a, open_a.challenges,
-                                            rho, &stats_a);
-            },
-            [&] {
-                ec::ScopedMsmOptions msmScope(opts.msm);
-                proof.pcsB = pcs::open(srs, v, open_b.challenges, &stats_b);
-            },
-        };
-        opts.units->run(chains);
-        mergeMsmStats(st.msm, stats_a);
-        mergeMsmStats(st.msm, stats_b);
-    } else {
-        proof.pcsA =
-            pcs::batchOpen(srs, polys_a, open_a.challenges, rho, &st.msm);
-        proof.pcsB = pcs::open(srs, v, open_b.challenges, &st.msm);
-    }
+        polys_a.push_back(&sig);
+    polys_a.push_back(&fracs.phi);
+    const Mle g = pcs::combineForBatchOpen(polys_a, rho);
+    // g has mu variables and v has mu+1, so the chains share no basis, but
+    // both points are drawn: one openMany commits every quotient of both
+    // chains in a single MSM schedule.
+    const Mle *chains[] = {&g, &v};
+    const std::span<const Fr> points[] = {open_a.challenges,
+                                          open_b.challenges};
+    std::vector<pcs::OpeningProof> opened =
+        pcs::openMany(srs, chains, points, &st.msm);
+    proof.pcsA = std::move(opened[0]);
+    proof.pcsB = std::move(opened[1]);
     st.openingMs = msSince(t0);
 
     return proof;

@@ -213,68 +213,64 @@ openMany(const Srs &srs, std::span<const Mle *const> polys,
     const std::size_t m = polys.size();
     assert(zs.size() == m);
     std::vector<OpeningProof> proofs(m);
-    if (m == 0)
-        return proofs;
-    const unsigned mu = polys[0]->numVars();
-    if (m > 1) {
-        // Level-zipping needs one variable count; mixed-size chains
-        // degrade to independent openings (same proofs, no sharing).
-        for (std::size_t i = 0; i < m; ++i) {
-            if (polys[i]->numVars() != mu) {
-                for (std::size_t j = 0; j < m; ++j)
-                    proofs[j] = open(srs, *polys[j], zs[j], stats);
-                return proofs;
-            }
-        }
-    }
-    const LevelBases &bases = srs.basesFor(mu);
 
-    // Working copies, quotient buffers, and fold double buffers all come
-    // from the ambient arena (installed by engine::ProverContext), so a
-    // proof stream on one context reuses one set of allocations instead of
-    // reallocating ~2 * 2^mu elements per proof.
-    std::vector<Mle> cur;
-    cur.reserve(m);
+    // Phase 1, O(2^mu) field work per chain: every quotient of every
+    // chain. q_k(X_{k+1}..) = cur(1, X..) - cur(0, X..) is the adjacent
+    // difference, and the fold cur(z_k, X..) = cur(0, X..) + z_k * q_k
+    // reuses it, so one walk per level writes both. Level k of a
+    // mu-variable chain sits at offset 2^mu - 2^(mu-k) of the chain's
+    // quotient table; level 0 reads the polynomial itself, so no working
+    // copy is made. All buffers come from the ambient arena (installed by
+    // engine::ProverContext), so a proof stream reuses one set.
+    std::size_t max_n = 0;
+    for (const Mle *p : polys)
+        max_n = std::max(max_n, p->size());
+    // Fold double buffers: even levels write fold[0], odd levels fold[1].
+    FrTable fold[2] = {zkphire::poly::arenaAcquire(max_n / 2),
+                       zkphire::poly::arenaAcquire(max_n / 4)};
+    std::vector<FrTable> quots(m);
+    std::vector<ec::MsmJob> jobs;
     for (std::size_t i = 0; i < m; ++i) {
+        const unsigned mu = polys[i]->numVars();
         assert(zs[i].size() == mu && "opening point dimension mismatch");
-        proofs[i].quotients.reserve(mu);
-        FrTable t = zkphire::poly::arenaAcquire(polys[i]->size());
-        t.assign(polys[i]->evals());
-        cur.push_back(Mle(std::move(t)));
-    }
-
-    std::vector<FrTable> q(m);
-    std::vector<FrTable> fold_scratch(m); // double buffers, reused
-    std::vector<std::span<const Fr>> cols(m);
-    for (unsigned k = 0; k < mu; ++k) {
-        // q_k(X_{k+1}..) = cur(1, X..) - cur(0, X..): adjacent differences,
-        // then ONE multi-MSM over the shared suffix basis for every chain.
-        const std::size_t half = cur[0].size() / 2;
-        for (std::size_t i = 0; i < m; ++i) {
-            if (q[i].capacity() == 0)
-                q[i] = zkphire::poly::arenaAcquire(half);
-            else
-                q[i].resize(half);
-            const Mle &c = cur[i];
-            FrTable &qi = q[i];
+        if (mu == 0)
+            continue;
+        const LevelBases &bases = srs.basesFor(mu);
+        const std::size_t n = polys[i]->size();
+        quots[i] = zkphire::poly::arenaAcquire(n - 1);
+        Fr *q = quots[i].data();
+        const Fr *cur = polys[i]->data();
+        for (unsigned k = 0; k < mu; ++k) {
+            const std::size_t half = n >> (k + 1);
+            Fr *dst = k + 1 == mu ? nullptr : fold[k % 2].data();
+            const Fr zk = zs[i][k];
             rt::parallelFor(
                 0, half,
-                [&](std::size_t j) { qi[j] = c[2 * j + 1] - c[2 * j]; },
+                [&](std::size_t j) {
+                    const Fr d = cur[2 * j + 1] - cur[2 * j];
+                    q[j] = d;
+                    if (dst != nullptr)
+                        dst[j] = cur[2 * j] + zk * d;
+                },
                 /*grain=*/0, /*minGrain=*/1024);
-            cols[i] = qi.span();
-        }
-        std::vector<G1Jacobian> pis =
-            ec::msmBatch(cols, bases.suffix[k + 1], ec::currentMsmOptions(),
-                         stats);
-        for (std::size_t i = 0; i < m; ++i) {
-            proofs[i].quotients.push_back(pis[i].toAffine());
-            cur[i].fixFirstVarInPlace(zs[i][k], fold_scratch[i]);
+            jobs.push_back({std::span<const Fr>(q, half),
+                            bases.suffix[k + 1]});
+            q += half;
+            cur = dst;
         }
     }
+    zkphire::poly::arenaRelease(std::move(fold[0]));
+    zkphire::poly::arenaRelease(std::move(fold[1]));
+
+    // Phase 2: every quotient of every chain committed in one schedule.
+    const std::vector<G1Jacobian> pis =
+        ec::msmMany(jobs, ec::currentMsmOptions(), stats);
+    std::size_t at = 0;
     for (std::size_t i = 0; i < m; ++i) {
-        zkphire::poly::arenaRelease(std::move(cur[i].store()));
-        zkphire::poly::arenaRelease(std::move(q[i]));
-        zkphire::poly::arenaRelease(std::move(fold_scratch[i]));
+        proofs[i].quotients.reserve(polys[i]->numVars());
+        for (unsigned k = 0; k < polys[i]->numVars(); ++k)
+            proofs[i].quotients.push_back(pis[at++].toAffine());
+        zkphire::poly::arenaRelease(std::move(quots[i]));
     }
     return proofs;
 }
@@ -302,10 +298,10 @@ verifyOpening(const Srs &srs, const Commitment &c, std::span<const Fr> z,
 }
 
 Mle
-combineForBatchOpen(std::span<const Mle> polys, const Fr &rho)
+combineForBatchOpen(std::span<const Mle *const> polys, const Fr &rho)
 {
     assert(!polys.empty());
-    const unsigned mu = polys[0].numVars();
+    const unsigned mu = polys[0]->numVars();
     // g = Sum_i rho^i f_i, combined entry-parallel: each chunk walks the
     // opened polynomials in claim order, so every entry sees the exact
     // serial accumulation sequence (bit-identical at any thread count)
@@ -313,7 +309,7 @@ combineForBatchOpen(std::span<const Mle> polys, const Fr &rho)
     std::vector<Fr> powers(polys.size());
     Fr coeff = Fr::one();
     for (std::size_t i = 0; i < polys.size(); ++i) {
-        assert(polys[i].numVars() == mu);
+        assert(polys[i]->numVars() == mu);
         powers[i] = coeff;
         coeff *= rho;
     }
@@ -322,7 +318,7 @@ combineForBatchOpen(std::span<const Mle> polys, const Fr &rho)
         0, g.size(),
         [&](std::size_t b, std::size_t e) {
             for (std::size_t i = 0; i < polys.size(); ++i) {
-                const Mle &f = polys[i];
+                const Mle &f = *polys[i];
                 const Fr c = powers[i];
                 // Fused multiply-accumulate span over the unrolled field
                 // kernels; rho^0 == 1 skips its multiply pass outright
@@ -341,7 +337,11 @@ OpeningProof
 batchOpen(const Srs &srs, std::span<const Mle> polys, std::span<const Fr> z,
           const Fr &rho, ec::MsmStats *stats)
 {
-    Mle g = combineForBatchOpen(polys, rho);
+    std::vector<const Mle *> ptrs;
+    ptrs.reserve(polys.size());
+    for (const Mle &p : polys)
+        ptrs.push_back(&p);
+    Mle g = combineForBatchOpen(ptrs, rho);
     return open(srs, g, z, stats);
 }
 

@@ -97,14 +97,13 @@ OpeningProof open(const Srs &srs, const Mle &poly, std::span<const Fr> z,
                   ec::MsmStats *stats = nullptr);
 
 /**
- * Open several polynomials of the SAME variable count at (possibly
- * different) points, zipping the per-variable levels: level k commits
- * every opening's quotient with one multi-MSM over the shared suffix
- * basis, so the basis points are read once per level for all openings.
- * (HyperPlonk's own two chains have different variable counts — g has mu,
- * the product polynomial v has mu+1 — so they cannot ride this; the API
- * serves workloads that open several same-size polynomials, e.g. sharded
- * or multi-proof batches.) proofs[i] equals open(polys[i], zs[i]) exactly.
+ * Open several polynomials, of any variable counts, at their own points:
+ * proofs[i] equals open(polys[i], zs[i]) exactly. Every quotient of every
+ * chain is computed first (O(2^mu) field work per chain), then all of them
+ * are committed in one ec::msmMany schedule over their suffix bases: large
+ * quotients split by window across the pool, small ones run whole on one
+ * worker with one batch inversion shared across their windows. HyperPlonk
+ * opens its g chain (mu variables) and v chain (mu+1) in one call.
  */
 std::vector<OpeningProof> openMany(const Srs &srs,
                                    std::span<const Mle *const> polys,
@@ -115,7 +114,7 @@ std::vector<OpeningProof> openMany(const Srs &srs,
  * The rho-power linear combination Sum_i rho^i f_i that batchOpen commits
  * to; exposed so callers can combine once and open through openMany.
  */
-Mle combineForBatchOpen(std::span<const Mle> polys, const Fr &rho);
+Mle combineForBatchOpen(std::span<const Mle *const> polys, const Fr &rho);
 
 /**
  * Verify an opening claim f(z) == value against a commitment.

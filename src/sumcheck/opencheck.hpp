@@ -10,6 +10,11 @@
  * claims collapse to evaluations of the P_i at ONE common point (the round
  * challenges), which a single batched PCS opening then certifies — this is
  * what keeps HyperPlonk proofs at 4-5 KB.
+ *
+ * The prover runs the rounds over g regrouped by distinct point or by
+ * distinct table, whichever needs fewer slots (DESIGN.md "Factored
+ * OpenCheck"); the round messages are the same bytes as the 2k-slot
+ * batch, and the final evaluations are supplied in claim order.
  */
 #ifndef ZKPHIRE_SUMCHECK_OPENCHECK_HPP
 #define ZKPHIRE_SUMCHECK_OPENCHECK_HPP
@@ -42,7 +47,9 @@ struct OpencheckProverOutput {
 };
 
 /** Prove a batch of evaluation claims. All points must have equal dims.
- *  cfg covers the eq-table builds as well as the inner sumcheck. */
+ *  The proof's final slot evaluations are P_i(r) for every claim, then
+ *  eq(r, z_i), in claim order. cfg covers the table builds as well as the
+ *  inner sumcheck. */
 OpencheckProverOutput proveOpen(std::vector<EvalClaim> claims,
                                 hash::Transcript &tr,
                                 const rt::Config &cfg = {});

@@ -1,5 +1,6 @@
 #include "sumcheck/prover.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "ff/batch_inverse.hpp"
@@ -80,6 +81,14 @@ accumulateRange(const VirtualPoly &vp, std::size_t begin, std::size_t end,
  *  sharded sumcheck drop back to the single-lane path automatically. */
 constexpr std::size_t kShardMinPairs = 1u << 12;
 
+/** Round work (pairs * plan multiplications per pair) below which a round
+ *  runs serially, and the per-chunk work floor of a parallel round. Priced
+ *  in multiplications, not pairs, so a degree-6 gate's small rounds go
+ *  parallel while a cheap gate keeps its ~1024-pair cutoff: at 8 muls per
+ *  pair these are exactly the 1024-pair and 256-pair floors. */
+constexpr std::size_t kSerialRoundMuls = 1u << 13;
+constexpr std::size_t kMinChunkMuls = 1u << 11;
+
 /**
  * Accumulate fill(b, e, acc) over [0, half) into an accLen-wide accumulator.
  *
@@ -97,9 +106,11 @@ constexpr std::size_t kShardMinPairs = 1u << 12;
 template <class FillRange>
 std::vector<Fr>
 accumulatePairRange(std::size_t begin, std::size_t end, std::size_t acc_len,
-                    const FillRange &fill)
+                    std::size_t muls_per_pair, const FillRange &fill)
 {
-    if (rt::currentThreads() <= 1 || end - begin < 1024) {
+    muls_per_pair = std::max<std::size_t>(muls_per_pair, 1);
+    if (rt::currentThreads() <= 1 ||
+        (end - begin) * muls_per_pair < kSerialRoundMuls) {
         std::vector<Fr> acc(acc_len, Fr::zero());
         fill(begin, end, acc);
         return acc;
@@ -116,16 +127,18 @@ accumulatePairRange(std::size_t begin, std::size_t end, std::size_t acc_len,
                 acc[p] += part[p];
             return acc;
         },
-        /*grain=*/0, /*minGrain=*/256);
+        /*grain=*/0,
+        /*minGrain=*/std::max<std::size_t>(kMinChunkMuls / muls_per_pair, 1));
 }
 
 template <class FillRange>
 std::vector<Fr>
-accumulatePairs(std::size_t half, std::size_t acc_len, const FillRange &fill)
+accumulatePairs(std::size_t half, std::size_t acc_len,
+                std::size_t muls_per_pair, const FillRange &fill)
 {
     rt::UnitRunner *runner = rt::currentUnitRunner();
     if (runner == nullptr || runner->width() <= 1 || half < kShardMinPairs)
-        return accumulatePairRange(0, half, acc_len, fill);
+        return accumulatePairRange(0, half, acc_len, muls_per_pair, fill);
 
     const std::size_t width = runner->width();
     const std::size_t stride = (half + width - 1) / width;
@@ -135,8 +148,9 @@ accumulatePairs(std::size_t half, std::size_t acc_len, const FillRange &fill)
     for (std::size_t u = 0; u < width; ++u) {
         const std::size_t b = u * stride;
         const std::size_t e = std::min(half, b + stride);
-        units.push_back([&parts, &fill, acc_len, b, e, u] {
-            parts[u] = b < e ? accumulatePairRange(b, e, acc_len, fill)
+        units.push_back([&parts, &fill, acc_len, muls_per_pair, b, e, u] {
+            parts[u] = b < e ? accumulatePairRange(b, e, acc_len,
+                                                   muls_per_pair, fill)
                              : std::vector<Fr>(acc_len, Fr::zero());
         });
     }
@@ -159,7 +173,8 @@ roundEvaluationsNaive(const VirtualPoly &vp, std::size_t degree)
     const std::size_t half = std::size_t(1) << (vp.numVars() - 1);
     const std::size_t num_points = degree + 1;
     return accumulatePairs(
-        half, num_points, [&](std::size_t b, std::size_t e, std::vector<Fr> &acc) {
+        half, num_points, vp.plan().mulsPerPair(),
+        [&](std::size_t b, std::size_t e, std::vector<Fr> &acc) {
             accumulateRange(vp, b, e, degree, acc);
         });
 }
@@ -185,7 +200,8 @@ roundEvaluationsPlan(const VirtualPoly &vp)
     const std::size_t rel_blk = std::max<std::size_t>(
         poly::currentStorePolicy().chunkElems / 2, std::size_t(2048));
     std::vector<Fr> acc = accumulatePairs(
-        half, acc_len, [&](std::size_t b, std::size_t e, std::vector<Fr> &a) {
+        half, acc_len, plan.mulsPerPair(),
+        [&](std::size_t b, std::size_t e, std::vector<Fr> &a) {
             std::vector<Fr> scratch;
             for (std::size_t p0 = b; p0 < e; p0 += rel_blk) {
                 const std::size_t p1 = std::min(e, p0 + rel_blk);
@@ -211,6 +227,29 @@ roundEvaluations(const VirtualPoly &vp, std::size_t degree, EvalPath path)
 ProverOutput
 prove(VirtualPoly poly, hash::Transcript &tr, const rt::Config &cfg,
       EvalPath path)
+{
+    ProverOutput out = proveRounds(poly, tr, cfg, path);
+    // After mu folds each table is a single evaluation at the challenge
+    // point; these back the verifier's final check (and, in HyperPlonk, the
+    // subsequent PCS openings).
+    std::vector<Fr> finals(poly.numSlots());
+    for (std::size_t s = 0; s < poly.numSlots(); ++s)
+        finals[s] = poly.table(SlotId(s))[0];
+    appendFinalEvals(out.proof, std::move(finals), tr);
+    return out;
+}
+
+void
+appendFinalEvals(SumcheckProof &proof, std::vector<Fr> evals,
+                 hash::Transcript &tr)
+{
+    proof.finalSlotEvals = std::move(evals);
+    tr.appendFrVec("sc/final_evals", proof.finalSlotEvals);
+}
+
+ProverOutput
+proveRounds(VirtualPoly &poly, hash::Transcript &tr, const rt::Config &cfg,
+            EvalPath path)
 {
     const unsigned mu = poly.numVars();
     const std::size_t degree = poly.expr().degree();
@@ -271,14 +310,6 @@ prove(VirtualPoly poly, hash::Transcript &tr, const rt::Config &cfg,
             evals = roundEvaluations(poly, degree, path);
         }
     }
-
-    // After mu folds each table is a single evaluation at the challenge
-    // point; these back the verifier's final check (and, in HyperPlonk, the
-    // subsequent PCS openings).
-    out.proof.finalSlotEvals.resize(poly.numSlots());
-    for (std::size_t s = 0; s < poly.numSlots(); ++s)
-        out.proof.finalSlotEvals[s] = poly.table(SlotId(s))[0];
-    tr.appendFrVec("sc/final_evals", out.proof.finalSlotEvals);
     return out;
 }
 

@@ -69,6 +69,23 @@ ProverOutput prove(poly::VirtualPoly poly, hash::Transcript &tr,
                    const rt::Config &cfg = {}, EvalPath path = EvalPath::Plan);
 
 /**
+ * The round loop of prove(): absorbs the header and all mu rounds and draws
+ * every challenge, leaving each table of poly folded to its evaluation at
+ * the challenge point. The returned proof has no final slot evaluations
+ * yet; the caller supplies them with appendFinalEvals. prove() is exactly
+ * proveRounds + appendFinalEvals of poly's folded tables; callers that run
+ * the rounds over a regrouped polynomial (OpenCheck) append the final
+ * evaluations of the original slots instead.
+ */
+ProverOutput proveRounds(poly::VirtualPoly &poly, hash::Transcript &tr,
+                         const rt::Config &cfg = {},
+                         EvalPath path = EvalPath::Plan);
+
+/** Record evals as the proof's final slot evaluations and absorb them. */
+void appendFinalEvals(SumcheckProof &proof, std::vector<Fr> evals,
+                      hash::Transcript &tr);
+
+/**
  * Evaluate the univariate polynomial given by its values at 0..d at point r
  * (Lagrange interpolation on the integer nodes). Shared by prover tests and
  * the verifier's round check.

@@ -9,6 +9,7 @@
 #include "ec/g1.hpp"
 #include "ec/msm.hpp"
 #include "ec/recode.hpp"
+#include "rt/parallel.hpp"
 
 using namespace zkphire::ec;
 using zkphire::ff::Fq;
@@ -499,4 +500,80 @@ TEST(Msm, ParallelMatchesSerial)
               serial);
     EXPECT_EQ(msmPippengerParallel(scalars, points, Config{.threads = 24}),
               serial);
+}
+
+TEST(Msm, SerialInsidePoolWorker)
+{
+    // A worker runs nested regions inline, so an MSM inside a parallelFor
+    // body must take the serial decisions too: one batch inversion shared
+    // across all windows, not one per window.
+    Rng rng(87);
+    const std::size_t n = 256;
+    std::vector<Fr> scalars;
+    std::vector<G1Affine> points;
+    for (std::size_t i = 0; i < n; ++i) {
+        scalars.push_back(Fr::random(rng));
+        points.push_back(randomG1(rng));
+    }
+    MsmStats serial;
+    G1Jacobian expect;
+    {
+        zkphire::rt::ScopedThreads one(1);
+        expect = msmPippenger(scalars, points, 0, &serial);
+    }
+    ASSERT_GT(serial.batchInversions, 0u);
+
+    zkphire::rt::ThreadPool pool(4);
+    zkphire::rt::ScopedConfig scope(
+        zkphire::rt::Config{.threads = 4, .pool = &pool});
+    std::vector<MsmStats> inner(4);
+    std::vector<G1Jacobian> got(4);
+    zkphire::rt::parallelFor(
+        0, 4,
+        [&](std::size_t i) {
+            got[i] = msmPippenger(scalars, points, 0, &inner[i]);
+        },
+        /*grain=*/1);
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(got[i], expect) << i;
+        EXPECT_EQ(inner[i].batchInversions, serial.batchInversions) << i;
+        EXPECT_EQ(inner[i].affineAdds, serial.affineAdds) << i;
+    }
+}
+
+TEST(Msm, ManyMatchesIndependentRuns)
+{
+    // Halving job sizes, as in an opening chain: the two largest split by
+    // window, the rest run whole on one worker each.
+    Rng rng(88);
+    const std::size_t sizes[] = {4096, 2048, 700, 256, 33, 2, 1, 0};
+    std::vector<std::vector<Fr>> scalars;
+    std::vector<std::vector<G1Affine>> points;
+    for (std::size_t n : sizes) {
+        scalars.emplace_back();
+        points.emplace_back();
+        for (std::size_t i = 0; i < n; ++i) {
+            scalars.back().push_back(i % 5 == 0 ? Fr::one() : Fr::random(rng));
+            points.back().push_back(randomG1(rng));
+        }
+    }
+    std::vector<MsmJob> jobs;
+    for (std::size_t j = 0; j < scalars.size(); ++j)
+        jobs.push_back({scalars[j], points[j]});
+    for (unsigned threads : {1u, 4u}) {
+        zkphire::rt::ThreadPool pool(threads);
+        zkphire::rt::ScopedConfig scope(
+            zkphire::rt::Config{.threads = threads, .pool = &pool});
+        MsmStats stats;
+        const std::vector<G1Jacobian> many = msmMany(jobs, currentMsmOptions(), &stats);
+        ASSERT_EQ(many.size(), jobs.size());
+        std::uint64_t dense = 0;
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            MsmStats solo;
+            EXPECT_EQ(many[j], msmPippenger(scalars[j], points[j], 0, &solo))
+                << "threads " << threads << " job " << j;
+            dense += solo.denseScalars;
+        }
+        EXPECT_EQ(stats.denseScalars, dense);
+    }
 }

@@ -99,10 +99,59 @@ TEST(Pcs, OpenManyMatchesPerPolyOpen)
         }
     };
     check(polys);
-    // Mixed variable counts degrade to independent openings.
+    // A mu chain and a mu+1 chain in one call (HyperPlonk's g and v), plus
+    // a smaller one: one schedule over three different bases.
+    polys.push_back(Mle::random(6, rng));
+    zv.push_back({});
+    for (unsigned j = 0; j < 6; ++j)
+        zv.back().push_back(Fr::random(rng));
     polys.push_back(Mle::random(3, rng));
     zv.push_back({Fr::random(rng), Fr::random(rng), Fr::random(rng)});
     check(polys);
+}
+
+TEST(Pcs, OpenManyQuotientsMatchNaiveMsm)
+{
+    // Every quotient against an independent oracle: the adjacent
+    // differences of the running fold, committed with msmNaive over the
+    // level's suffix basis.
+    Rng rng(106);
+    std::vector<Mle> polys = {Mle::random(5, rng), Mle::random(6, rng),
+                              Mle::random(1, rng)};
+    std::vector<std::vector<Fr>> zv;
+    std::vector<const Mle *> ptrs;
+    std::vector<std::span<const Fr>> zs;
+    for (const Mle &p : polys) {
+        zv.emplace_back();
+        for (unsigned j = 0; j < p.numVars(); ++j)
+            zv.back().push_back(Fr::random(rng));
+    }
+    for (std::size_t i = 0; i < polys.size(); ++i) {
+        ptrs.push_back(&polys[i]);
+        zs.push_back(zv[i]);
+    }
+    const auto proofs = pcs::openMany(sharedSrs(), ptrs, zs);
+    ASSERT_EQ(proofs.size(), polys.size());
+    for (std::size_t i = 0; i < polys.size(); ++i) {
+        const unsigned mu = polys[i].numVars();
+        const pcs::LevelBases &bases = sharedSrs().basesFor(mu);
+        ASSERT_EQ(proofs[i].quotients.size(), mu);
+        Mle cur = polys[i];
+        for (unsigned k = 0; k < mu; ++k) {
+            std::vector<Fr> q(cur.size() / 2);
+            for (std::size_t j = 0; j < q.size(); ++j)
+                q[j] = cur[2 * j + 1] - cur[2 * j];
+            EXPECT_EQ(proofs[i].quotients[k],
+                      ec::msmNaive(q, bases.suffix[k + 1]).toAffine())
+                << "chain " << i << " level " << k;
+            cur.fixFirstVarInPlace(zv[i][k]);
+        }
+        EXPECT_TRUE(pcs::verifyOpening(sharedSrs(),
+                                       pcs::commit(sharedSrs(), polys[i]),
+                                       zv[i], polys[i].evaluate(zv[i]),
+                                       proofs[i]))
+            << i;
+    }
 }
 
 TEST(Pcs, CommitmentIsBindingToPolynomial)

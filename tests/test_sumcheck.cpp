@@ -384,3 +384,160 @@ TEST(OpenCheck, RejectsWrongClaimedValue)
     }
     EXPECT_FALSE(verifyOpen(vc, out.proof, mu, tv).ok);
 }
+
+namespace {
+
+/**
+ * The unfactored OpenCheck, kept here as the oracle: Sum_i eta^i P_i eq_i
+ * over 2k slots (every table, then every eq table), run through the plain
+ * sumcheck prover after the same claim binding.
+ */
+ProverOutput
+openCheckOracle(const std::vector<EvalClaim> &claims, hash::Transcript &tr)
+{
+    const std::size_t k = claims.size();
+    tr.appendU64("oc/num_claims", k);
+    for (const EvalClaim &c : claims) {
+        tr.appendFrVec("oc/point", c.point);
+        tr.appendFr("oc/value", c.value);
+    }
+    const Fr eta = tr.challengeFr("oc/eta");
+    GateExpr expr("OpenCheck");
+    std::vector<SlotId> p(k), e(k);
+    for (std::size_t i = 0; i < k; ++i)
+        p[i] = expr.addSlot("P" + std::to_string(i));
+    for (std::size_t i = 0; i < k; ++i)
+        e[i] = expr.addSlot("eq" + std::to_string(i));
+    Fr coeff = Fr::one();
+    std::vector<Mle> tables;
+    for (std::size_t i = 0; i < k; ++i) {
+        expr.addTerm(coeff, {p[i], e[i]});
+        coeff *= eta;
+        tables.push_back(claims[i].table);
+    }
+    for (const EvalClaim &c : claims)
+        tables.push_back(Mle::eqTable(c.point));
+    return prove(VirtualPoly(expr, std::move(tables)), tr);
+}
+
+std::vector<Fr>
+randomPoint(unsigned mu, Rng &rng)
+{
+    std::vector<Fr> z;
+    for (unsigned v = 0; v < mu; ++v)
+        z.push_back(Fr::random(rng));
+    return z;
+}
+
+/** Claims (tables[t], points[p]) for each (t, p) pair, with true values. */
+std::vector<EvalClaim>
+makeClaims(const std::vector<Mle> &tables,
+           const std::vector<std::vector<Fr>> &points,
+           const std::vector<std::pair<int, int>> &pairs)
+{
+    std::vector<EvalClaim> claims;
+    for (auto [t, p] : pairs)
+        claims.push_back(
+            {tables[t], points[p], tables[t].evaluate(points[p])});
+    return claims;
+}
+
+/** proveOpen must equal the 2k-slot oracle byte for byte, and verify. */
+void
+expectMatchesOracle(const std::vector<EvalClaim> &claims, unsigned mu)
+{
+    hash::Transcript t_ref("oc"), t_out("oc");
+    const ProverOutput ref = openCheckOracle(claims, t_ref);
+    const OpencheckProverOutput out = proveOpen(claims, t_out);
+    EXPECT_EQ(out.proof.sc.claimedSum, ref.proof.claimedSum);
+    EXPECT_EQ(out.proof.sc.roundEvals, ref.proof.roundEvals);
+    EXPECT_EQ(out.proof.sc.finalSlotEvals, ref.proof.finalSlotEvals);
+    EXPECT_EQ(out.challenges, ref.challenges);
+    EXPECT_EQ(t_out.challengeFr("next"), t_ref.challengeFr("next"));
+
+    std::vector<EvalClaim> vc;
+    for (const EvalClaim &c : claims)
+        vc.push_back({Mle(), c.point, c.value});
+    hash::Transcript tv("oc");
+    const OpencheckVerifyResult res = verifyOpen(vc, out.proof, mu, tv);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.polyEvals, out.polyEvals);
+    for (std::size_t i = 0; i < claims.size(); ++i)
+        EXPECT_EQ(out.polyEvals[i], claims[i].table.evaluate(out.challenges))
+            << i;
+}
+
+} // namespace
+
+TEST(OpenCheck, NoSharingMatchesOracle)
+{
+    Rng rng(53);
+    const unsigned mu = 5;
+    std::vector<Mle> tables;
+    std::vector<std::vector<Fr>> points;
+    for (int i = 0; i < 3; ++i) {
+        tables.push_back(Mle::random(mu, rng));
+        points.push_back(randomPoint(mu, rng));
+    }
+    expectMatchesOracle(makeClaims(tables, points, {{0, 0}, {1, 1}, {2, 2}}),
+                        mu);
+}
+
+TEST(OpenCheck, SharedPointMatchesOracle)
+{
+    // The HyperPlonk A shape: many tables on two points, some tables
+    // (the witness columns) opened at both, and two equal all-zero tables.
+    Rng rng(54);
+    const unsigned mu = 5;
+    std::vector<Mle> tables;
+    for (int i = 0; i < 6; ++i)
+        tables.push_back(Mle::random(mu, rng));
+    tables.push_back(Mle(mu));
+    tables.push_back(Mle(mu));
+    const std::vector<std::vector<Fr>> points = {randomPoint(mu, rng),
+                                                 randomPoint(mu, rng)};
+    expectMatchesOracle(makeClaims(tables, points,
+                                   {{0, 0}, {6, 0}, {1, 0}, {2, 0}, {7, 0},
+                                    {1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}}),
+                        mu);
+}
+
+TEST(OpenCheck, SharedTableMatchesOracle)
+{
+    // The HyperPlonk B shape: one table at five points, some with boolean
+    // coordinates.
+    Rng rng(55);
+    const unsigned mu = 5;
+    const std::vector<Mle> tables = {Mle::random(mu, rng)};
+    std::vector<std::vector<Fr>> points;
+    for (int i = 0; i < 4; ++i)
+        points.push_back(randomPoint(mu, rng));
+    points[1][0] = Fr::one();
+    points[2][mu - 1] = Fr::zero();
+    points.push_back(std::vector<Fr>(mu, Fr::one()));
+    expectMatchesOracle(
+        makeClaims(tables, points, {{0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}}),
+        mu);
+}
+
+TEST(OpenCheck, SharedPointAndTableMatchesOracle)
+{
+    Rng rng(56);
+    const unsigned mu = 4;
+    std::vector<Mle> tables;
+    std::vector<std::vector<Fr>> points;
+    for (int i = 0; i < 3; ++i) {
+        tables.push_back(Mle::random(mu, rng));
+        points.push_back(randomPoint(mu, rng));
+    }
+    // 3 tables x 3 points, both shared: a tie, and one group of each kind
+    // holding several claims.
+    expectMatchesOracle(makeClaims(tables, points,
+                                   {{0, 0}, {0, 1}, {1, 0}, {1, 2}, {2, 1},
+                                    {0, 2}}),
+                        mu);
+    // Fewer points than tables.
+    expectMatchesOracle(makeClaims(tables, points,
+                                   {{0, 0}, {1, 0}, {2, 0}, {2, 1}, {1, 1}}),
+                        mu);
+}
