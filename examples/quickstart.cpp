@@ -58,7 +58,7 @@ main()
     // cache, and the runtime config (default: ZKPHIRE_THREADS or hardware
     // concurrency) for every proof made through it.
     ff::Rng rng(42);
-    pcs::Srs srs = pcs::Srs::generate(mu + 1, rng);
+    pcs::Srs srs = pcs::Srs::generate(mu, rng);
     engine::ProverContext ctx(srs);
     const Keys &keys = ctx.preprocess(circuit);
     std::printf("setup done: %u selector + %u sigma commitments\n",

@@ -37,7 +37,7 @@ main()
     unsigned mu = 0;
     while ((1u << mu) < pc.circuit.numRows())
         ++mu;
-    pcs::Srs srs = pcs::Srs::generate(mu + 1, rng);
+    pcs::Srs srs = pcs::Srs::generate(mu, rng);
     auto keys = hyperplonk::setup(pc.circuit, srs);
     // Default rt::Config: ZKPHIRE_THREADS (or hardware concurrency) decides.
     hyperplonk::ProverStats stats;

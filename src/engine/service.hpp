@@ -26,10 +26,11 @@
  * Intra-proof sharding: when a lane dispatches a phase, the queue is empty,
  * and other lanes are idle, the idle lanes are reserved as helpers
  * (engine::ShardGroup) and the proof's independent work units — per-column
- * commitment MSMs, per-round sumcheck range splits, the two opening
- * chains — spread across them. One huge request therefore uses the whole
- * machine when it is alone, without monopolizing it when it is not: groups
- * last a single phase and idleness is re-evaluated at every phase boundary.
+ * commitment MSMs, per-round sumcheck range splits, the per-column
+ * evaluations at the PermCheck point — spread across them. One huge request
+ * therefore uses the whole machine when it is alone, without monopolizing
+ * it when it is not: groups last a single phase and idleness is
+ * re-evaluated at every phase boundary.
  *
  * Thread budgeting: the context's budget (config().threads, or the runtime
  * default when 0) is split evenly across the lanes (remainder to the first

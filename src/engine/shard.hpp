@@ -6,7 +6,7 @@
  * runnable, it reserves them as *helpers* for that phase: each reserved
  * lane thread parks in helperServe(), executing work units the owning
  * proof posts through the rt::UnitRunner interface — per-column commitment
- * MSMs, per-round sumcheck range splits, the two opening chains. A helper
+ * MSMs, per-round sumcheck range splits, per-column evaluations. A helper
  * runs every unit under its own lane's rt::Config (private pool,
  * sub-budget), so a group of W lanes brings the full aggregate thread
  * budget to one proof without any pool being shared or resized.

@@ -33,10 +33,10 @@ HyperPlonkProof::sizeBreakdown() const
     b.commitments = (witnessComms.size() + 2) * kPointBytes;
     b.gateZeroCheck = sumcheckBytes(gateZC.sc);
     b.permZeroCheck = sumcheckBytes(permZC.sc);
-    b.openChecks = sumcheckBytes(openA.sc) + sumcheckBytes(openB.sc);
-    b.pcsOpenings =
-        (pcsA.quotients.size() + pcsB.quotients.size()) * kPointBytes;
-    b.auxEvals = (wAtZp.size() + sigmaAtZp.size()) * kFrBytes;
+    b.openChecks = sumcheckBytes(openA.sc);
+    b.pcsOpenings = pcsA.quotients.size() * kPointBytes;
+    b.auxEvals =
+        (wAtZp.size() + sigmaAtZp.size() + shiftEvals.size()) * kFrBytes;
     return b;
 }
 

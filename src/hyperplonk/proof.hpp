@@ -3,16 +3,17 @@
  * HyperPlonk proof object and size accounting.
  *
  * The proof mirrors the paper's five prover steps: witness commitments,
- * Gate Identity ZeroCheck, Wire Identity (phi/v commitments + PermCheck
- * ZeroCheck), Batch Evaluations (two OpenChecks: one over mu-variable
- * claims, one over the (mu+1)-variable product-tree polynomial v), and the
- * final batched PCS openings. Size accounting assumes the standard
+ * Gate Identity ZeroCheck, Wire Identity (commitments to the grand-product
+ * halves phi and pi + PermCheck ZeroCheck), Batch Evaluations (one
+ * OpenCheck over mu-variable claims, the product-tree claims among them),
+ * and the final batched PCS opening. Size accounting assumes the standard
  * compressed encodings (48 B G1 points, 32 B field elements), giving the
  * "few KB" proofs the paper reports.
  */
 #ifndef ZKPHIRE_HYPERPLONK_PROOF_HPP
 #define ZKPHIRE_HYPERPLONK_PROOF_HPP
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -42,21 +43,24 @@ struct ProofSizeBreakdown {
 struct HyperPlonkProof {
     // Step 1: witness commitments.
     std::vector<pcs::Commitment> witnessComms;
-    // Step 3: wire-identity commitments.
+    // Step 3: wire-identity commitments to the two mu-variable halves of
+    // the product tree v(y_0, y') = (1-y_0)*phi(y') + y_0*pi(y').
     pcs::Commitment phiComm;
-    pcs::Commitment vComm;
+    pcs::Commitment piComm;
     // Steps 2-3: ZeroChecks.
     sumcheck::ZerocheckProof gateZC;
     sumcheck::ZerocheckProof permZC;
     // Auxiliary claimed evaluations at the PermCheck point z_p.
     std::vector<ff::Fr> wAtZp;
     std::vector<ff::Fr> sigmaAtZp;
-    // Step 4: batched evaluation reductions.
-    sumcheck::OpencheckProof openA; // mu-variable claims
-    sumcheck::OpencheckProof openB; // claims on v (mu+1 variables)
-    // Step 5: PCS openings.
+    // phi(z'',0), phi(z'',1), pi(z'',0), pi(z'',1) with z'' = z_p minus its
+    // first coordinate: the PermCheck views v(z_p,0) and v(z_p,1) are
+    // affine in these.
+    std::array<ff::Fr, 4> shiftEvals;
+    // Step 4: the batched evaluation reduction.
+    sumcheck::OpencheckProof openA;
+    // Step 5: the PCS opening of the batched polynomial.
     pcs::OpeningProof pcsA;
-    pcs::OpeningProof pcsB;
 
     ProofSizeBreakdown sizeBreakdown() const;
     std::size_t sizeBytes() const { return sizeBreakdown().total(); }

@@ -28,17 +28,21 @@ sharded(const ProveOptions &opts)
 }
 
 /**
- * Commit a family of same-size columns, split into one contiguous column
- * group per runner lane. Each group is a pcs::commitBatch on that lane's
+ * Commit a family of same-size columns (P is Mle or const Mle *) with one
+ * pcs::commitBatch. With a shard runner the columns split into one
+ * contiguous group per lane instead, each a commitBatch on that lane's
  * private pool; per-column commitments are independent of the batch
  * grouping (locked by the ec::msmBatch bit-identity tests), so the merged
- * column-ordered result equals the single commitBatch call exactly.
+ * column-ordered result equals the single call exactly.
  */
+template <class P>
 std::vector<pcs::Commitment>
-commitColumnsSharded(const pcs::Srs &srs, std::span<const Mle> polys,
-                     const ProveOptions &opts, ec::MsmStats &stats)
+commitColumns(const pcs::Srs &srs, std::span<const P> polys,
+              const ProveOptions &opts, ec::MsmStats &stats)
 {
     const std::size_t k = polys.size();
+    if (!sharded(opts) || k < 2)
+        return pcs::commitBatch(srs, polys, &stats);
     const std::size_t width =
         std::min<std::size_t>(opts.units->width(), k);
     const std::size_t stride = (k + width - 1) / width;
@@ -83,6 +87,7 @@ setup(const Circuit &circuit, const pcs::Srs &srs)
     unsigned mu = 0;
     while ((std::size_t(1) << mu) < circuit.numRows())
         ++mu;
+    assert(mu >= 1 && "the grand product needs at least two rows");
     pk.mu = mu;
     pk.selectors = circuit.selectorMles();
     pk.perm = buildPermutation(circuit);
@@ -131,15 +136,9 @@ proveSetup(const ProvingKey &pk, const Circuit &circuit, ProverStats *stats,
     auto t0 = Clock::now();
     state.witness = circuit.witnessMles();
     // One multi-MSM for all k columns: scalars are recoded once and the
-    // Lagrange basis is walked once per window instead of k times. With a
-    // shard runner the columns split into one group per lane instead
-    // (per-column results are grouping-independent, so the transcript is
-    // unchanged).
-    if (sharded(opts) && state.witness.size() > 1)
-        state.proof.witnessComms =
-            commitColumnsSharded(srs, state.witness, opts, st.msm);
-    else
-        state.proof.witnessComms = pcs::commitBatch(srs, state.witness, &st.msm);
+    // Lagrange basis is walked once per window instead of k times.
+    state.proof.witnessComms = commitColumns(
+        srs, std::span<const Mle>(state.witness), opts, st.msm);
     for (const auto &c : state.proof.witnessComms)
         pcs::appendG1(state.tr, "w_comm", c.point);
     st.witnessCommitMs = msSince(t0);
@@ -198,26 +197,35 @@ proveOnline(const ProvingKey &pk, SetupState setup_state, ProverStats *stats,
     Fr beta = tr.challengeFr("beta");
     Fr gamma = tr.challengeFr("gamma");
     FractionPolys fracs = buildFractionPolys(witness, pk.perm, beta, gamma);
-    Mle v = sumcheck::buildProductTree(fracs.phi);
-    // phi (mu vars) and v (mu+1 vars) live under different bases, so these
-    // two commitments cannot share a multi-MSM.
-    proof.phiComm = pcs::commit(srs, fracs.phi, &st.msm);
-    proof.vComm = pcs::commit(srs, v, &st.msm);
+    // The product tree v(y_0, y') = (1-y_0)*phi(y') + y_0*pi(y'), y_0 the
+    // index LSB, is committed as its two mu-variable halves phi and
+    // pi = v(1, .): C_phi and C_pi bind v, and on one basis the pair is a
+    // single multi-MSM. v itself only feeds the PermCheck views p1 and p2.
+    std::vector<Mle> perm_tables;
+    perm_tables.reserve(4 + 2 * std::size_t(k));
+    {
+        const Mle v = sumcheck::buildProductTree(fracs.phi);
+        perm_tables.push_back(sumcheck::extractPi(v));
+        perm_tables.push_back(sumcheck::extractP1(v));
+        perm_tables.push_back(sumcheck::extractP2(v));
+    }
+    perm_tables.push_back(fracs.phi);
+    // N and D are read only by the PermCheck, which consumes its tables.
+    for (Mle &d : fracs.denom)
+        perm_tables.push_back(std::move(d));
+    for (Mle &n : fracs.numer)
+        perm_tables.push_back(std::move(n));
+    const Mle pi = perm_tables[0];
+    const Mle *halves[] = {&fracs.phi, &pi};
+    const std::vector<pcs::Commitment> half_comms = commitColumns(
+        srs, std::span<const Mle *const>(halves), opts, st.msm);
+    proof.phiComm = half_comms[0];
+    proof.piComm = half_comms[1];
     pcs::appendG1(tr, "phi_comm", proof.phiComm.point);
-    pcs::appendG1(tr, "v_comm", proof.vComm.point);
+    pcs::appendG1(tr, "pi_comm", proof.piComm.point);
     Fr alpha = tr.challengeFr("alpha");
 
     gates::Gate perm_gate = gates::permCoreGate(k, alpha);
-    std::vector<Mle> perm_tables;
-    perm_tables.reserve(perm_gate.expr.numSlots());
-    perm_tables.push_back(sumcheck::extractPi(v));
-    perm_tables.push_back(sumcheck::extractP1(v));
-    perm_tables.push_back(sumcheck::extractP2(v));
-    perm_tables.push_back(fracs.phi);
-    for (unsigned j = 0; j < k; ++j)
-        perm_tables.push_back(fracs.denom[j]);
-    for (unsigned j = 0; j < k; ++j)
-        perm_tables.push_back(fracs.numer[j]);
     // The PermCheck expression embeds the per-proof batching challenge
     // alpha, so its plan is lowered inline (caching it would key on alpha
     // and grow without bound).
@@ -227,91 +235,58 @@ proveOnline(const ProvingKey &pk, SetupState setup_state, ProverStats *stats,
     const std::vector<Fr> &z_p = perm_out.challenges;
     st.wireIdentityMs = msSince(t0);
 
-    // ---- Step 4: Batch Evaluations (OpenChecks) ----------------------
+    // ---- Step 4: Batch Evaluations (OpenCheck) -----------------------
     rt::checkCancel();
     t0 = Clock::now();
-    // Auxiliary claimed evaluations at z_p, absorbed before eta is drawn.
-    // Each column's pair of evaluations is an independent unit: sharded,
-    // column j still writes only slot j, so the absorbed vectors are
-    // identical to the serial loop.
+    // Auxiliary claimed evaluations at z_p and at the shifted points
+    // (z'', b), absorbed before eta is drawn. Each unit writes only its own
+    // slots, so the absorbed values do not depend on sharding.
     proof.wAtZp.resize(k);
     proof.sigmaAtZp.resize(k);
-    if (sharded(opts) && k > 1) {
-        std::vector<std::function<void()>> units;
-        units.reserve(k);
-        for (unsigned j = 0; j < k; ++j)
-            units.push_back([&, j] {
-                proof.wAtZp[j] = witness[j].evaluate(z_p);
-                proof.sigmaAtZp[j] = pk.perm.sigma[j].evaluate(z_p);
-            });
-        opts.units->run(units);
-    } else {
-        for (unsigned j = 0; j < k; ++j) {
+    const std::vector<Fr> shifted[2] = {detail::shiftedPoint(z_p, 0),
+                                        detail::shiftedPoint(z_p, 1)};
+    std::vector<std::function<void()>> eval_units;
+    for (unsigned j = 0; j < k; ++j)
+        eval_units.push_back([&, j] {
             proof.wAtZp[j] = witness[j].evaluate(z_p);
             proof.sigmaAtZp[j] = pk.perm.sigma[j].evaluate(z_p);
-        }
-    }
+        });
+    for (unsigned b = 0; b < 2; ++b)
+        eval_units.push_back([&, b] {
+            proof.shiftEvals[b] = fracs.phi.evaluate(shifted[b]);
+            proof.shiftEvals[2 + b] = pi.evaluate(shifted[b]);
+        });
+    if (sharded(opts))
+        opts.units->run(eval_units);
+    else
+        for (const auto &unit : eval_units)
+            unit();
     tr.appendFrVec("w_zp", proof.wAtZp);
     tr.appendFrVec("sigma_zp", proof.sigmaAtZp);
+    tr.appendFrVec("shift_zp", proof.shiftEvals);
 
-    const Fr phi_at_zp = proof.permZC.sc.finalSlotEvals[3];
     std::vector<EvalClaim> claims_a = detail::buildClaimsA(
-        numSelectorCols(pk.sys), k, z_g, z_p,
+        pk.mu, numSelectorCols(pk.sys), k, z_g, z_p,
         proof.gateZC.sc.finalSlotEvals, proof.wAtZp, proof.sigmaAtZp,
-        phi_at_zp);
-    // Splice in the tables in claim order.
-    std::size_t ci = 0;
-    for (const Mle &sel : pk.selectors)
-        claims_a[ci++].table = sel;
-    for (const Mle &w : witness)
-        claims_a[ci++].table = w;
-    for (const Mle &w : witness)
-        claims_a[ci++].table = w;
-    for (const Mle &sig : pk.perm.sigma)
-        claims_a[ci++].table = sig;
-    claims_a[ci++].table = fracs.phi;
-    assert(ci == claims_a.size());
-
+        proof.permZC.sc.finalSlotEvals[3], proof.permZC.sc.finalSlotEvals[0],
+        proof.shiftEvals);
+    const std::vector<const Mle *> polys_a = detail::claimOrderA<Mle>(
+        pk.selectors, witness, pk.perm.sigma, fracs.phi, pi);
+    assert(polys_a.size() == claims_a.size());
+    for (std::size_t i = 0; i < claims_a.size(); ++i)
+        claims_a[i].table = *polys_a[i];
     auto open_a = sumcheck::proveOpen(std::move(claims_a), tr);
     proof.openA = std::move(open_a.proof);
-
-    std::vector<EvalClaim> claims_b = detail::buildClaimsB(
-        pk.mu, z_p, proof.permZC.sc.finalSlotEvals[0],
-        proof.permZC.sc.finalSlotEvals[1], proof.permZC.sc.finalSlotEvals[2],
-        phi_at_zp);
-    for (auto &c : claims_b)
-        c.table = v;
-    auto open_b = sumcheck::proveOpen(std::move(claims_b), tr);
-    proof.openB = std::move(open_b.proof);
     st.batchEvalMs = msSince(t0);
 
     // ---- Step 5: Polynomial Opening -----------------------------------
     rt::checkCancel();
     t0 = Clock::now();
     Fr rho = tr.challengeFr("rho_a");
-    // g = Sum_i rho^i f_i over the OpenCheck A polynomials, in claim order.
-    std::vector<const Mle *> polys_a;
-    polys_a.reserve(numSelectorCols(pk.sys) + 3 * k + 1);
-    for (const Mle &sel : pk.selectors)
-        polys_a.push_back(&sel);
-    for (const Mle &w : witness)
-        polys_a.push_back(&w);
-    for (const Mle &w : witness)
-        polys_a.push_back(&w);
-    for (const Mle &sig : pk.perm.sigma)
-        polys_a.push_back(&sig);
-    polys_a.push_back(&fracs.phi);
+    // g = Sum_i rho^i f_i over the OpenCheck polynomials, in claim order;
+    // one mu-variable chain certifies every claim.
     const Mle g = pcs::combineForBatchOpen(polys_a, rho);
-    // g has mu variables and v has mu+1, so the chains share no basis, but
-    // both points are drawn: one openMany commits every quotient of both
-    // chains in a single MSM schedule.
-    const Mle *chains[] = {&g, &v};
-    const std::span<const Fr> points[] = {open_a.challenges,
-                                          open_b.challenges};
-    std::vector<pcs::OpeningProof> opened =
-        pcs::openMany(srs, chains, points, &st.msm);
-    proof.pcsA = std::move(opened[0]);
-    proof.pcsB = std::move(opened[1]);
+    proof.pcsA = pcs::open(srs, g, open_a.challenges, &st.msm);
     st.openingMs = msSince(t0);
 
     return proof;

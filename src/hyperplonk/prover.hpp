@@ -6,9 +6,11 @@
  *   1. Witness Commitments      — k MSMs (MSM unit)
  *   2. Gate Identity Check      — ZeroCheck (SumCheck + Forest units)
  *   3. Wire Identity Check      — PermQuotGen + product tree + PermCheck
- *                                 ZeroCheck + 2 MSM commitments
- *   4. Batch Evaluations        — OpenChecks (Forest unit)
- *   5. Polynomial Opening       — batched PCS openings (MLE Combine + MSM)
+ *                                 ZeroCheck + one 2-column MSM committing
+ *                                 the product tree's halves phi and pi
+ *   4. Batch Evaluations        — one OpenCheck (Forest unit)
+ *   5. Polynomial Opening       — one batched PCS opening (MLE Combine +
+ *                                 MSM)
  *
  * Per-step wall-clock timings and MSM/SumCheck statistics are recorded so
  * examples can compare the real CPU execution against the hardware model's
@@ -92,10 +94,10 @@ struct ProveOptions {
     ec::MsmOptions msm = {};
     /** Cross-lane executor for the proof's independent work units
      *  (per-column commitment MSMs, per-round sumcheck range splits, the
-     *  two opening chains). Null runs every unit inline. Unit outputs are
-     *  merged in index order, so the transcript is bit-identical at every
-     *  runner width — engine::ProofService points this at a ShardGroup of
-     *  reserved idle lanes. */
+     *  per-column evaluations at z_p). Null runs every unit inline. Unit
+     *  outputs are merged in index order, so the transcript is
+     *  bit-identical at every runner width — engine::ProofService points
+     *  this at a ShardGroup of reserved idle lanes. */
     rt::UnitRunner *units = nullptr;
     /** Buffer arena (installed via poly::ScopedArena) recycling the proof's
      *  big scratch tables — sumcheck fold double buffers, opening working

@@ -1,5 +1,7 @@
 #include "hyperplonk/serialize.hpp"
 
+#include <algorithm>
+
 namespace zkphire::hyperplonk {
 
 using ff::Fr;
@@ -152,9 +154,17 @@ class Reader
             bad = true;
             return p;
         }
-        std::uint8_t inf = buf[pos + 96];
-        if (inf == 0) {
+        // One encoding per point: flag 1 with canonical coordinates on the
+        // curve, or 97 zero bytes for infinity. Any other bytes would be a
+        // second encoding of the same proof.
+        const std::uint8_t inf = buf[pos + 96];
+        if (inf > 1) {
+            bad = true;
+        } else if (inf == 0) {
             p.infinity = true;
+            if (!std::all_of(buf.begin() + pos, buf.begin() + pos + 96,
+                             [](std::uint8_t b) { return b == 0; }))
+                bad = true;
         } else {
             auto x = ff::BigInt<6>::fromBytesLe(buf.data() + pos);
             auto y = ff::BigInt<6>::fromBytesLe(buf.data() + pos + 48);
@@ -217,7 +227,7 @@ class Reader
 };
 
 constexpr std::uint32_t kMagic = 0x7a6b5048; // "zkPH"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 } // namespace
 
@@ -231,15 +241,15 @@ serializeProof(const HyperPlonkProof &proof)
     for (const auto &c : proof.witnessComms)
         w.commitment(c);
     w.commitment(proof.phiComm);
-    w.commitment(proof.vComm);
+    w.commitment(proof.piComm);
     w.sumcheck(proof.gateZC.sc);
     w.sumcheck(proof.permZC.sc);
     w.frVec(proof.wAtZp);
     w.frVec(proof.sigmaAtZp);
+    for (const Fr &x : proof.shiftEvals)
+        w.fr(x);
     w.sumcheck(proof.openA.sc);
-    w.sumcheck(proof.openB.sc);
     w.pointVec(proof.pcsA.quotients);
-    w.pointVec(proof.pcsB.quotients);
     return std::move(w.out);
 }
 
@@ -256,15 +266,15 @@ deserializeProof(std::span<const std::uint8_t> bytes)
     for (std::uint32_t i = 0; i < k; ++i)
         proof.witnessComms.push_back(r.commitment());
     proof.phiComm = r.commitment();
-    proof.vComm = r.commitment();
+    proof.piComm = r.commitment();
     proof.gateZC.sc = r.sumcheckProof();
     proof.permZC.sc = r.sumcheckProof();
     proof.wAtZp = r.frVec(64);
     proof.sigmaAtZp = r.frVec(64);
+    for (Fr &x : proof.shiftEvals)
+        x = r.fr();
     proof.openA.sc = r.sumcheckProof();
-    proof.openB.sc = r.sumcheckProof();
     proof.pcsA.quotients = r.pointVec();
-    proof.pcsB.quotients = r.pointVec();
     if (r.failed() || !r.atEnd())
         return std::nullopt;
     return proof;

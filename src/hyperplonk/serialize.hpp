@@ -5,9 +5,10 @@
  * A proof is a single message (non-interactivity); this is the wire format
  * a verifier service would consume. Layout: little-endian u32 lengths,
  * 32-byte canonical field elements, 97-byte uncompressed affine points
- * (x || y || infinity-byte). Deserialization validates structure and point
- * membership; the round-trip and tamper tests live in
- * tests/test_serialize.cpp.
+ * (x || y || infinity-byte; infinity is 97 zero bytes). Every value has
+ * exactly one encoding: deserialization validates structure, canonical
+ * field elements and point flags, and curve membership. The round-trip,
+ * tamper and mutation tests live in tests/test_serialize.cpp.
  */
 #ifndef ZKPHIRE_HYPERPLONK_SERIALIZE_HPP
 #define ZKPHIRE_HYPERPLONK_SERIALIZE_HPP
@@ -25,7 +26,7 @@ std::vector<std::uint8_t> serializeProof(const HyperPlonkProof &proof);
 
 /**
  * Parse a proof. Returns nullopt on malformed input (truncation, bad
- * lengths, or points not on the curve).
+ * lengths, non-canonical encodings, or points not on the curve).
  */
 std::optional<HyperPlonkProof>
 deserializeProof(std::span<const std::uint8_t> bytes);

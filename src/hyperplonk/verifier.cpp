@@ -22,6 +22,9 @@ verify(const VerifyingKey &vk, const HyperPlonkProof &proof)
         return fail("wrong number of witness commitments");
     if (proof.wAtZp.size() != k || proof.sigmaAtZp.size() != k)
         return fail("wrong number of auxiliary evaluations");
+    // The grand product sits in pi(1,..,1,0), which needs one variable.
+    if (vk.mu == 0)
+        return fail("circuits need at least two rows");
 
     hash::Transcript tr = detail::beginTranscript(
         vk.sys, vk.mu, vk.selectorComms, vk.sigmaComms);
@@ -41,7 +44,7 @@ verify(const VerifyingKey &vk, const HyperPlonkProof &proof)
     Fr beta = tr.challengeFr("beta");
     Fr gamma = tr.challengeFr("gamma");
     pcs::appendG1(tr, "phi_comm", proof.phiComm.point);
-    pcs::appendG1(tr, "v_comm", proof.vComm.point);
+    pcs::appendG1(tr, "pi_comm", proof.piComm.point);
     Fr alpha = tr.challengeFr("alpha");
 
     gates::Gate perm_gate = gates::permCoreGate(k, alpha);
@@ -52,7 +55,12 @@ verify(const VerifyingKey &vk, const HyperPlonkProof &proof)
     const std::vector<Fr> &z_p = perm_res.challenges;
     // Slot order: pi p1 p2 phi D1..Dk N1..Nk.
     const std::vector<Fr> &pe = perm_res.slotEvals;
-    const Fr &phi_at_zp = pe[3];
+    // p1 = v(z_p,0), p2 = v(z_p,1) with v(z_0, z'', b) = (1-z_0)*phi(z'',b)
+    // + z_0*pi(z'',b); the shift evals are claims of the OpenCheck below.
+    const auto &sh = proof.shiftEvals;
+    const Fr z0 = z_p[0], w0 = Fr::one() - z0;
+    if (pe[1] != w0 * sh[0] + z0 * sh[2] || pe[2] != w0 * sh[1] + z0 * sh[3])
+        return fail("product-tree views inconsistent with shift evaluations");
 
     // N/D fraction consistency: D_j = w_j + beta*sigma_j + gamma and
     // N_j = w_j + beta*id_j + gamma at z_p, with id_j computed locally.
@@ -71,46 +79,26 @@ verify(const VerifyingKey &vk, const HyperPlonkProof &proof)
     // ---- Step 4: Batch Evaluations ------------------------------------
     tr.appendFrVec("w_zp", proof.wAtZp);
     tr.appendFrVec("sigma_zp", proof.sigmaAtZp);
+    tr.appendFrVec("shift_zp", proof.shiftEvals);
 
     std::vector<EvalClaim> claims_a = detail::buildClaimsA(
-        num_sel, k, z_g, z_p, proof.gateZC.sc.finalSlotEvals, proof.wAtZp,
-        proof.sigmaAtZp, phi_at_zp);
+        vk.mu, num_sel, k, z_g, z_p, proof.gateZC.sc.finalSlotEvals,
+        proof.wAtZp, proof.sigmaAtZp, pe[3], pe[0], proof.shiftEvals);
     auto open_a_res =
         sumcheck::verifyOpen(claims_a, proof.openA, vk.mu, tr);
     if (!open_a_res.ok)
-        return fail("OpenCheck A: " + open_a_res.error);
+        return fail("OpenCheck: " + open_a_res.error);
 
-    std::vector<EvalClaim> claims_b = detail::buildClaimsB(
-        vk.mu, z_p, pe[0], pe[1], pe[2], phi_at_zp);
-    auto open_b_res =
-        sumcheck::verifyOpen(claims_b, proof.openB, vk.mu + 1, tr);
-    if (!open_b_res.ok)
-        return fail("OpenCheck B: " + open_b_res.error);
-    // All five claims are on the same polynomial v, so their evaluations at
-    // the common point must agree.
-    for (std::size_t i = 1; i < open_b_res.polyEvals.size(); ++i)
-        if (open_b_res.polyEvals[i] != open_b_res.polyEvals[0])
-            return fail("inconsistent v evaluations in OpenCheck B");
-
-    // ---- Step 5: PCS openings ------------------------------------------
+    // ---- Step 5: PCS opening -------------------------------------------
     Fr rho = tr.challengeFr("rho_a");
     std::vector<pcs::Commitment> comms_a;
-    comms_a.reserve(claims_a.size());
-    for (const auto &c : vk.selectorComms)
-        comms_a.push_back(c);
-    for (const auto &c : proof.witnessComms)
-        comms_a.push_back(c);
-    for (const auto &c : proof.witnessComms)
-        comms_a.push_back(c);
-    for (const auto &c : vk.sigmaComms)
-        comms_a.push_back(c);
-    comms_a.push_back(proof.phiComm);
+    for (const pcs::Commitment *c : detail::claimOrderA<pcs::Commitment>(
+             vk.selectorComms, proof.witnessComms, vk.sigmaComms,
+             proof.phiComm, proof.piComm))
+        comms_a.push_back(*c);
     if (!pcs::verifyBatchOpening(*vk.srs, comms_a, open_a_res.challenges,
                                  open_a_res.polyEvals, rho, proof.pcsA))
-        return fail("PCS batch opening A failed");
-    if (!pcs::verifyOpening(*vk.srs, proof.vComm, open_b_res.challenges,
-                            open_b_res.polyEvals[0], proof.pcsB))
-        return fail("PCS opening B (product tree) failed");
+        return fail("PCS batch opening failed");
 
     res.ok = true;
     return res;

@@ -2,12 +2,13 @@
  * @file
  * HyperPlonk verifier.
  *
- * Replays the Fiat-Shamir transcript, verifies both ZeroChecks and both
- * OpenChecks, checks the N/D fraction consistency against the wiring
- * identity polynomials (id computed locally, sigma bound by commitment),
- * checks the product-tree leaf/root bindings, and finally verifies the
- * batched PCS openings. Returns a structured result naming the first check
- * that failed, which the negative tests rely on.
+ * Replays the Fiat-Shamir transcript, verifies both ZeroChecks, checks the
+ * N/D fraction consistency against the wiring identity polynomials (id
+ * computed locally, sigma bound by commitment), recomputes the product-tree
+ * views p1/p2 from the shifted evaluations of phi and pi, verifies the one
+ * OpenCheck (the grand-product root among its claims), and finally
+ * verifies the batched PCS opening. Returns a structured result naming the
+ * first check that failed, which the negative tests rely on.
  */
 #ifndef ZKPHIRE_HYPERPLONK_VERIFIER_HPP
 #define ZKPHIRE_HYPERPLONK_VERIFIER_HPP

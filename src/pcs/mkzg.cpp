@@ -302,24 +302,34 @@ combineForBatchOpen(std::span<const Mle *const> polys, const Fr &rho)
 {
     assert(!polys.empty());
     const unsigned mu = polys[0]->numVars();
-    // g = Sum_i rho^i f_i, combined entry-parallel: each chunk walks the
-    // opened polynomials in claim order, so every entry sees the exact
-    // serial accumulation sequence (bit-identical at any thread count)
-    // while the chunks — the per-opening work — run concurrently.
-    std::vector<Fr> powers(polys.size());
-    Fr coeff = Fr::one();
-    for (std::size_t i = 0; i < polys.size(); ++i) {
-        assert(polys[i]->numVars() == mu);
-        powers[i] = coeff;
-        coeff *= rho;
+    // g = Sum_i rho^i f_i. A polynomial listed more than once (HyperPlonk
+    // opens each witness column at two points, phi at three and pi at
+    // four) is one term with its powers summed, so every table is read
+    // once. The combination is entry-parallel: each chunk walks the terms
+    // in first-occurrence order, so every entry sees the exact serial
+    // accumulation sequence (bit-identical at any thread count) while the
+    // chunks run concurrently.
+    std::vector<const Mle *> terms;
+    std::vector<Fr> coeffs;
+    Fr power = Fr::one();
+    for (const Mle *p : polys) {
+        assert(p->numVars() == mu);
+        const auto at = std::find(terms.begin(), terms.end(), p);
+        if (at == terms.end()) {
+            terms.push_back(p);
+            coeffs.push_back(power);
+        } else {
+            coeffs[std::size_t(at - terms.begin())] += power;
+        }
+        power *= rho;
     }
     Mle g(mu);
     rt::parallelForChunks(
         0, g.size(),
         [&](std::size_t b, std::size_t e) {
-            for (std::size_t i = 0; i < polys.size(); ++i) {
-                const Mle &f = *polys[i];
-                const Fr c = powers[i];
+            for (std::size_t i = 0; i < terms.size(); ++i) {
+                const Mle &f = *terms[i];
+                const Fr c = coeffs[i];
                 // Fused multiply-accumulate span over the unrolled field
                 // kernels; rho^0 == 1 skips its multiply pass outright
                 // (1 * x is exactly x in canonical Montgomery form).

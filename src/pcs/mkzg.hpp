@@ -103,7 +103,7 @@ OpeningProof open(const Srs &srs, const Mle &poly, std::span<const Fr> z,
  * are committed in one ec::msmMany schedule over their suffix bases: large
  * quotients split by window across the pool, small ones run whole on one
  * worker with one batch inversion shared across their windows. HyperPlonk
- * opens its g chain (mu variables) and v chain (mu+1) in one call.
+ * opens one chain, its batched polynomial g, through open().
  */
 std::vector<OpeningProof> openMany(const Srs &srs,
                                    std::span<const Mle *const> polys,
@@ -112,7 +112,9 @@ std::vector<OpeningProof> openMany(const Srs &srs,
 
 /**
  * The rho-power linear combination Sum_i rho^i f_i that batchOpen commits
- * to; exposed so callers can combine once and open through openMany.
+ * to; exposed so callers can combine once and open through openMany. A
+ * polynomial may be listed more than once (the same object, by address);
+ * its table is then read once with its powers summed.
  */
 Mle combineForBatchOpen(std::span<const Mle *const> polys, const Fr &rho);
 

@@ -14,6 +14,9 @@
  *     pi(x) - p1(x)*p2(x) + alpha * (phi(x)*Prod_j D_j(x) - Prod_j N_j(x))
  * where pi(x) = v(1,x), p1(x) = v(x,0), p2(x) = v(x,1) are index-views of v,
  * and the final product v(1,..,1,0) = 1 is checked via one extra opening.
+ * HyperPlonk commits and opens only the mu-variable halves phi and pi, since
+ * v(y_0, y') = (1-y_0)*phi(y') + y_0*pi(y') (DESIGN.md "Grand product as
+ * two mu-variable halves").
  */
 #ifndef ZKPHIRE_SUMCHECK_GRAND_PRODUCT_HPP
 #define ZKPHIRE_SUMCHECK_GRAND_PRODUCT_HPP

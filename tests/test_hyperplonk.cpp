@@ -99,8 +99,8 @@ TEST(Pcs, OpenManyMatchesPerPolyOpen)
         }
     };
     check(polys);
-    // A mu chain and a mu+1 chain in one call (HyperPlonk's g and v), plus
-    // a smaller one: one schedule over three different bases.
+    // A larger and a smaller chain join the call: one schedule over three
+    // different bases.
     polys.push_back(Mle::random(6, rng));
     zv.push_back({});
     for (unsigned j = 0; j < 6; ++j)
@@ -194,6 +194,21 @@ TEST(Pcs, BatchOpenRoundTrip)
     values[1] += Fr::one();
     EXPECT_FALSE(
         pcs::verifyBatchOpening(sharedSrs(), cs, z, values, rho, proof));
+}
+
+TEST(Pcs, CombineForBatchOpenSumsRepeatedPolynomials)
+{
+    Rng rng(107);
+    const Mle a = Mle::random(4, rng);
+    const Mle b = Mle::random(4, rng);
+    const Mle *polys[] = {&a, &b, &a, &b, &a};
+    const Fr rho = Fr::random(rng);
+    const Mle g = pcs::combineForBatchOpen(polys, rho);
+    const Fr r2 = rho * rho;
+    const Fr ca = Fr::one() + r2 + r2 * r2;
+    const Fr cb = rho + rho * r2;
+    for (std::size_t x = 0; x < g.size(); ++x)
+        EXPECT_EQ(g[x], ca * a[x] + cb * b[x]) << x;
 }
 
 TEST(Circuit, GadgetsProduceSatisfyingRows)
@@ -349,6 +364,48 @@ TEST(HyperPlonk, RejectsTamperedAuxEvals)
     EXPECT_FALSE(verify(keys.vk, proof).ok);
 }
 
+TEST(HyperPlonk, RejectsTamperedProductCommitment)
+{
+    Rng rng(129);
+    Circuit c = randomVanillaCircuit(5, rng);
+    Keys keys = setup(c, sharedSrs());
+    HyperPlonkProof proof = prove(keys.pk, c);
+    ASSERT_TRUE(verify(keys.vk, proof).ok);
+    proof.piComm.point =
+        ec::G1Jacobian::fromAffine(proof.piComm.point).dbl().toAffine();
+    EXPECT_FALSE(verify(keys.vk, proof).ok);
+}
+
+TEST(HyperPlonk, RejectsTamperedShiftEvals)
+{
+    Rng rng(130);
+    Circuit c = randomJellyfishCircuit(5, rng);
+    Keys keys = setup(c, sharedSrs());
+    const HyperPlonkProof proof = prove(keys.pk, c);
+    ASSERT_TRUE(verify(keys.vk, proof).ok);
+    for (std::size_t i = 0; i < proof.shiftEvals.size(); ++i) {
+        HyperPlonkProof bad = proof;
+        bad.shiftEvals[i] += Fr::one();
+        EXPECT_FALSE(verify(keys.vk, bad).ok) << "shift eval " << i;
+    }
+}
+
+TEST(HyperPlonk, ProvesAndVerifiesWithMuLevelSrs)
+{
+    // Every committed and opened polynomial has mu variables, so an SRS of
+    // exactly mu levels suffices.
+    const unsigned mu = 5;
+    Rng rng(131);
+    pcs::Srs srs = pcs::Srs::generate(mu, rng);
+    for (Circuit c :
+         {randomVanillaCircuit(mu, rng), randomJellyfishCircuit(mu, rng)}) {
+        Keys keys = setup(c, srs);
+        HyperPlonkProof proof = prove(keys.pk, c);
+        auto res = verify(keys.vk, proof);
+        EXPECT_TRUE(res.ok) << res.error;
+    }
+}
+
 TEST(HyperPlonk, RejectsProofFromBrokenWiring)
 {
     // Prover uses a witness that satisfies gates but breaks a copy
@@ -385,5 +442,5 @@ TEST(HyperPlonk, DeterministicProofs)
     HyperPlonkProof p2 = prove(keys.pk, c);
     EXPECT_EQ(p1.gateZC.sc.claimedSum, p2.gateZC.sc.claimedSum);
     EXPECT_EQ(p1.gateZC.sc.roundEvals, p2.gateZC.sc.roundEvals);
-    EXPECT_TRUE(p1.vComm == p2.vComm);
+    EXPECT_TRUE(p1.piComm == p2.piComm);
 }

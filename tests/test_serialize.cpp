@@ -5,6 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+
 #include "hyperplonk/serialize.hpp"
 #include "hyperplonk/verifier.hpp"
 
@@ -48,7 +52,7 @@ TEST(Serialize, RoundTripPreservesEverything)
     for (std::size_t i = 0; i < p.witnessComms.size(); ++i)
         EXPECT_TRUE(back->witnessComms[i] == p.witnessComms[i]);
     EXPECT_TRUE(back->phiComm == p.phiComm);
-    EXPECT_TRUE(back->vComm == p.vComm);
+    EXPECT_TRUE(back->piComm == p.piComm);
     EXPECT_EQ(back->gateZC.sc.claimedSum, p.gateZC.sc.claimedSum);
     EXPECT_EQ(back->gateZC.sc.roundEvals, p.gateZC.sc.roundEvals);
     EXPECT_EQ(back->permZC.sc.roundEvals, p.permZC.sc.roundEvals);
@@ -56,7 +60,9 @@ TEST(Serialize, RoundTripPreservesEverything)
     EXPECT_EQ(back->sigmaAtZp, p.sigmaAtZp);
     EXPECT_EQ(back->openA.sc.finalSlotEvals, p.openA.sc.finalSlotEvals);
     EXPECT_EQ(back->pcsA.quotients.size(), p.pcsA.quotients.size());
-    EXPECT_EQ(back->pcsB.quotients.size(), p.pcsB.quotients.size());
+    for (std::size_t i = 0; i < p.pcsA.quotients.size(); ++i)
+        EXPECT_EQ(back->pcsA.quotients[i], p.pcsA.quotients[i]) << i;
+    EXPECT_EQ(back->shiftEvals, p.shiftEvals);
 }
 
 TEST(Serialize, DeserializedProofVerifies)
@@ -72,6 +78,16 @@ TEST(Serialize, RejectsBadMagic)
 {
     auto bytes = serializeProof(fixture().proof);
     bytes[0] ^= 0xff;
+    EXPECT_FALSE(deserializeProof(bytes).has_value());
+}
+
+TEST(Serialize, RejectsPreviousFormatVersion)
+{
+    auto bytes = serializeProof(fixture().proof);
+    ASSERT_TRUE(deserializeProof(bytes).has_value());
+    // The version is the little-endian u32 after the 4-byte magic.
+    bytes[4] = 1;
+    bytes[5] = bytes[6] = bytes[7] = 0;
     EXPECT_FALSE(deserializeProof(bytes).has_value());
 }
 
@@ -100,6 +116,24 @@ TEST(Serialize, RejectsOffCurvePoint)
     // low byte, putting the point off the curve).
     bytes[12] ^= 0x01;
     EXPECT_FALSE(deserializeProof(bytes).has_value());
+}
+
+TEST(Serialize, RejectsNonCanonicalPointEncoding)
+{
+    const auto bytes = serializeProof(fixture().proof);
+    // The first commitment occupies bytes [12, 109); its last byte is the
+    // infinity flag, 1 for a finite point.
+    ASSERT_EQ(bytes[12 + 96], 1);
+    auto flag = bytes;
+    flag[12 + 96] = 2; // same point with a flag other than 0 or 1
+    EXPECT_FALSE(deserializeProof(flag).has_value());
+    // The point at infinity is all zero bytes; stray coordinate bytes
+    // under a 0 flag are a second encoding of it.
+    auto inf = bytes;
+    std::fill(inf.begin() + 12, inf.begin() + 12 + 97, 0);
+    ASSERT_TRUE(deserializeProof(inf).has_value());
+    inf[12] = 1;
+    EXPECT_FALSE(deserializeProof(inf).has_value());
 }
 
 TEST(Serialize, RejectsNonCanonicalFieldElement)
@@ -156,4 +190,78 @@ TEST(Serialize, BytesIdenticalAcrossGlvAndThreads)
                 << "glv=" << glv << " threads=" << threads;
         }
     }
+}
+
+// Seeded byte-level mutation fuzzing of the wire format: every mutant of a
+// valid proof (bit flips, byte rewrites, truncations, in-place splices,
+// insertions and deletions) must be refused by deserializeProof or by
+// verify, and none may crash (the suite also runs under ASan/UBSan).
+TEST(Serialize, ByteMutantsAreRejected)
+{
+    const std::vector<std::uint8_t> original =
+        serializeProof(fixture().proof);
+    const std::size_t n = original.size();
+    std::mt19937_64 gen(0x6d757461); // fixed seed: the run is reproducible
+    auto below = [&](std::size_t bound) {
+        return std::size_t(gen() % bound);
+    };
+    std::size_t mutants = 0, parsed = 0;
+    std::vector<std::string> accepted;
+    for (int iter = 0; iter < 2000; ++iter) {
+        std::vector<std::uint8_t> m = original;
+        const unsigned kind = unsigned(iter % 6);
+        switch (kind) {
+        case 0: { // flip one bit
+            const std::size_t at = below(n);
+            m[at] ^= std::uint8_t(1u << below(8));
+            break;
+        }
+        case 1: { // rewrite one byte
+            const std::size_t at = below(n);
+            m[at] = std::uint8_t(gen());
+            break;
+        }
+        case 2: // truncate
+            m.resize(below(n));
+            break;
+        case 3: { // splice a segment of the proof over another place
+            const std::size_t len = 1 + below(128);
+            const std::size_t from = below(n - len);
+            const std::size_t to = below(n - len);
+            std::copy(original.begin() + std::ptrdiff_t(from),
+                      original.begin() + std::ptrdiff_t(from + len),
+                      m.begin() + std::ptrdiff_t(to));
+            break;
+        }
+        case 4: { // insert a copied segment
+            const std::size_t len = 1 + below(128);
+            const std::size_t from = below(n - len);
+            m.insert(m.begin() + std::ptrdiff_t(below(n + 1)),
+                     original.begin() + std::ptrdiff_t(from),
+                     original.begin() + std::ptrdiff_t(from + len));
+            break;
+        }
+        default: { // delete a segment
+            const std::size_t len = 1 + below(128);
+            const std::size_t at = below(n - len);
+            m.erase(m.begin() + std::ptrdiff_t(at),
+                    m.begin() + std::ptrdiff_t(at + len));
+            break;
+        }
+        }
+        if (m == original)
+            continue; // a splice onto identical bytes is no mutation
+        ++mutants;
+        const auto back = deserializeProof(m);
+        if (!back)
+            continue;
+        ++parsed;
+        if (verify(fixture().keys.vk, *back).ok && accepted.size() < 8)
+            accepted.push_back("mutant " + std::to_string(iter) + " (kind " +
+                               std::to_string(kind) + ")");
+    }
+    EXPECT_GT(mutants, 1900u);
+    EXPECT_GT(parsed, 0u) << "no mutant reached the verifier";
+    EXPECT_TRUE(accepted.empty()) << accepted.size()
+                                  << " accepted, first: " << accepted[0];
 }
