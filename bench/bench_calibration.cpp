@@ -57,7 +57,7 @@ measuredMsmRow(const char *name, std::size_t n, double frac_zero,
 
     ec::MsmStats st;
     auto t0 = std::chrono::steady_clock::now();
-    auto r = ec::msmPippengerOpt(scalars, points, opts, &st);
+    auto r = ec::msmPippenger(scalars, points, opts, &st);
     (void)r;
     double total_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)

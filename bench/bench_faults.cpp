@@ -68,10 +68,10 @@ makeFixture(unsigned mu, bool jellyfish, std::uint64_t seed)
 }
 
 /** The load's schedule: every compiled-in site armed, tuned so the load
- *  still mostly completes. The bench-sized circuits never reach the
- *  chunk.producer / msm.accum sites (their streamed paths only engage for
- *  large tables) — the per-site hits/fires diagnostics make that visible
- *  rather than silently claiming coverage. */
+ *  still mostly completes. The bench-sized circuits may never reach the
+ *  msm.accum site (its streamed path only engages for large tables) — the
+ *  per-site hits/fires diagnostics make that visible rather than silently
+ *  claiming coverage. */
 void
 armFaultSchedule()
 {
@@ -91,11 +91,6 @@ armFaultSchedule()
     msm.kind = rt::FailKind::Enomem;
     msm.nth = 2;
     rt::setFailpoint("msm.accum", msm);
-
-    rt::FailSpec producer;
-    producer.kind = rt::FailKind::Enomem;
-    producer.nth = 1;
-    rt::setFailpoint("chunk.producer", producer);
 
     rt::FailSpec round;
     round.kind = rt::FailKind::Enomem;
@@ -135,7 +130,7 @@ runLoad(const std::string &name, bool withFaults,
 
     // streamThreshold=1 puts every table on the slab store; the tiny chunk
     // makes the bench-sized tables span multiple chunks, so the streamed
-    // commit pipeline (chunk.producer / msm.accum sites) sees traffic too.
+    // commit pipeline (msm.accum site) sees traffic too.
     engine::ProverContext ctx(
         sharedSrs(),
         {.threads = 2, .streamThreshold = 1, .streamChunk = 64});
@@ -183,8 +178,8 @@ runLoad(const std::string &name, bool withFaults,
 
         if (withFaults)
             for (const char *site :
-                 {"slab.create", "slab.grow", "chunk.producer", "msm.accum",
-                  "sumcheck.round", "rt.worker"})
+                 {"slab.create", "slab.grow", "msm.accum", "sumcheck.round",
+                  "rt.worker"})
                 row.sites.push_back({site, rt::failpointHits(site),
                                      rt::failpointFires(site)});
         const engine::ServiceMetrics m = service.metrics();

@@ -309,7 +309,7 @@ msmVariantBench(benchmark::State &state, const ec::MsmOptions &opts)
     const auto &points = msmBenchPoints(n);
     const std::vector<Fr> scalars = msmBenchScalars(n, 22);
     for (auto _ : state) {
-        auto r = ec::msmPippengerOpt(scalars, points, opts);
+        auto r = ec::msmPippenger(scalars, points, opts);
         benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(state.iterations() * n);
@@ -682,9 +682,9 @@ BM_MsmPippengerThreads(benchmark::State &state)
         scalars.push_back(Fr::random(rng));
         points.push_back(i % 8 == 0 ? ec::randomG1(rng) : base);
     }
+    rt::ScopedConfig scope({.threads = threads});
     for (auto _ : state) {
-        auto r = ec::msmPippengerParallel(scalars, points,
-                                          rt::Config{.threads = threads});
+        auto r = ec::msmPippenger(scalars, points);
         benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(state.iterations() * n);
@@ -701,7 +701,7 @@ BM_BatchInverseThreads(benchmark::State &state)
     xs.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         xs.push_back(Fr::random(rng));
-    rt::ScopedThreads scope(threads);
+    rt::ScopedConfig scope({.threads = threads});
     for (auto _ : state) {
         std::vector<Fr> copy = xs;
         ff::batchInverseInPlace(std::span<Fr>(copy));
@@ -718,7 +718,7 @@ BM_MleFoldThreads(benchmark::State &state)
     Rng rng(14);
     poly::Mle m = poly::Mle::random(18, rng);
     Fr r = Fr::random(rng);
-    rt::ScopedThreads scope(threads);
+    rt::ScopedConfig scope({.threads = threads});
     for (auto _ : state) {
         poly::Mle copy = m;
         copy.fixFirstVarInPlace(r);

@@ -178,8 +178,7 @@ runCommit(unsigned mu, bool stream, unsigned chunk_log, double *ms)
         for (std::size_t i = 0; i < n; ++i)
             points[i] = pool[i % pool.size()];
         auto t0 = std::chrono::steady_clock::now();
-        result = ec::msmPippengerOpt(scalars, points,
-                                     ec::currentMsmOptions());
+        result = ec::msmPippenger(scalars, points);
         *ms = msSince(t0);
     }
     return result.toAffine().x.toHexString();

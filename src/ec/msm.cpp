@@ -603,7 +603,8 @@ bucketPhase(MsmWork &wk, MsmStats *stats)
 {
     using Clock = std::chrono::steady_clock;
     const auto t0 = Clock::now();
-    rt::ScopedThreads serial_small(wk.dense.size() < 256 ? 1u : 0u);
+    rt::ScopedConfig serial_small(
+        {.threads = wk.dense.size() < 256 ? 1u : 0u});
     if (runsSerially() && combinesWindows(wk))
         bucketWindows(wk, 0, wk.shape.numWindows);
     else
@@ -676,23 +677,13 @@ msmBatchCore(std::span<const std::span<const Fr>> cols,
 } // namespace
 
 G1Jacobian
-msmPippengerOpt(std::span<const Fr> scalars, std::span<const G1Affine> points,
-                const MsmOptions &opts, MsmStats *stats)
+msmPippenger(std::span<const Fr> scalars, std::span<const G1Affine> points,
+             const MsmOptions &opts, MsmStats *stats)
 {
     assert(scalars.size() == points.size());
     const std::span<const Fr> col = scalars;
     return msmBatchCore(std::span<const std::span<const Fr>>(&col, 1), points,
                         opts, stats)[0];
-}
-
-G1Jacobian
-msmPippenger(std::span<const Fr> scalars, std::span<const G1Affine> points,
-             unsigned window_bits, MsmStats *stats)
-{
-    MsmOptions opts = currentMsmOptions();
-    if (window_bits != 0)
-        opts.windowBits = window_bits;
-    return msmPippengerOpt(scalars, points, opts, stats);
 }
 
 std::vector<G1Jacobian>
@@ -864,21 +855,6 @@ MsmAccumulator::finalize()
     assert(seen_ == totalN_ && "finalize before all chunks were added");
     // The one-shot kernel's fold, over the merged window sums.
     return foldWindows(work_->shape, windowSums_, work_->trivial, stats_);
-}
-
-G1Jacobian
-msmPippengerParallel(std::span<const Fr> scalars,
-                     std::span<const G1Affine> points, const rt::Config &cfg,
-                     unsigned window_bits, MsmStats *stats)
-{
-    assert(scalars.size() == points.size());
-    // Window-level parallelism inside msmPippenger replaced the old
-    // split-the-points decomposition: it exposes ~num_windows-way
-    // parallelism without redundant per-slice window passes, and keeps the
-    // result bit-identical to the serial kernel. A default config inherits
-    // the ambient setting.
-    rt::ScopedConfig scope(cfg);
-    return msmPippenger(scalars, points, window_bits, stats);
 }
 
 } // namespace zkphire::ec

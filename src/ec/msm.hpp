@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "ec/g1.hpp"
-#include "rt/config.hpp"
 
 namespace zkphire::ec {
 
@@ -130,21 +129,18 @@ G1Jacobian msmNaive(std::span<const Fr> scalars,
                     std::span<const G1Affine> points);
 
 /**
- * Pippenger MSM under the ambient currentMsmOptions().
+ * Pippenger MSM. Bucket accumulation runs window-parallel on the ambient
+ * rt pool (each window's bucket set is independent, mirroring the paper's
+ * parallel MSM PEs); the window fold replays the serial order, so the
+ * result is bit-identical at every thread count.
  *
- * @param window_bits Bucket window size c; 0 defers to the ambient options
- *        (and then to the automatic choice), matching the DSE knob range.
+ * @param opts  Algorithm knobs; a windowBits of 0 selects automatically.
  * @param stats Optional op-count/phase-timing output (accumulated).
  */
 G1Jacobian msmPippenger(std::span<const Fr> scalars,
                         std::span<const G1Affine> points,
-                        unsigned window_bits = 0, MsmStats *stats = nullptr);
-
-/** Pippenger MSM with explicit algorithm knobs (benchmarks, experiments). */
-G1Jacobian msmPippengerOpt(std::span<const Fr> scalars,
-                           std::span<const G1Affine> points,
-                           const MsmOptions &opts,
-                           MsmStats *stats = nullptr);
+                        const MsmOptions &opts = currentMsmOptions(),
+                        MsmStats *stats = nullptr);
 
 /**
  * Multi-MSM over one shared point array: out[j] = Sum_i cols[j][i] * P_i.
@@ -291,20 +287,6 @@ class MsmAccumulator
     std::unique_ptr<detail::MsmWork> work_;
     std::vector<G1Jacobian> windowSums_; ///< num_windows * k partial sums.
 };
-
-/**
- * Pippenger MSM with an explicit runtime config. Bucket accumulation runs
- * window-parallel on the zkphire::rt pool (each window's bucket set is
- * independent, mirroring the paper's parallel MSM PEs); the window fold
- * replays the serial order, so the result is bit-identical to
- * msmPippenger at one thread. A default Config inherits the ambient
- * setting (ZKPHIRE_THREADS env or hardware concurrency).
- */
-G1Jacobian msmPippengerParallel(std::span<const Fr> scalars,
-                                std::span<const G1Affine> points,
-                                const rt::Config &cfg = {},
-                                unsigned window_bits = 0,
-                                MsmStats *stats = nullptr);
 
 } // namespace zkphire::ec
 

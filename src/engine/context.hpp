@@ -6,7 +6,8 @@
  * Everything `hyperplonk::prove` used to pick up ambiently or re-derive per
  * call is owned here instead:
  *
- *   - an SRS reference (for preprocessing circuits into Keys),
+ *   - an SRS reference (for preprocessing circuits into Keys; it must
+ *     outlive the context and every key derived from it),
  *   - the preprocessed Keys themselves (reference-stable for the context's
  *     lifetime),
  *   - the compiled GatePlan cache (per-context, so two contexts proving
@@ -16,8 +17,8 @@
  *     every proof made through the context.
  *
  * A context's prove() is safe to call concurrently from multiple threads
- * and produces proofs byte-identical to the one-shot hyperplonk::prove
- * wrapper for the same circuit — the transcript never depends on the
+ * and produces proofs byte-identical to hyperplonk::prove with default
+ * options for the same circuit — the transcript never depends on the
  * config, the cache, or job concurrency. engine::ProofService runs batches
  * of requests against one context (src/engine/service.hpp).
  */
@@ -35,17 +36,10 @@ namespace zkphire::engine {
 class ProverContext
 {
   public:
-    /** Context without an SRS: can prove against caller-owned keys but not
-     *  preprocess circuits until attachSrs(). */
-    explicit ProverContext(rt::Config cfg = {});
     ProverContext(const pcs::Srs &srs, rt::Config cfg = {});
 
     ProverContext(const ProverContext &) = delete;
     ProverContext &operator=(const ProverContext &) = delete;
-
-    /** The SRS must outlive the context and every key derived from it. */
-    void attachSrs(const pcs::Srs &srs) { srsRef = &srs; }
-    const pcs::Srs *srs() const { return srsRef; }
 
     /** Snapshot of the context config. Returned by value so concurrent
      *  setConfig() calls are safe: a job reads one coherent config at
@@ -92,7 +86,7 @@ class ProverContext
     poly::BufferArena &arena() const { return bufferArena; }
 
     /**
-     * Preprocess a circuit against the attached SRS ("indexing"). The
+     * Preprocess a circuit against the context's SRS ("indexing"). The
      * returned Keys are owned by the context and stay valid — at a stable
      * address — for its lifetime.
      */
@@ -124,7 +118,7 @@ class ProverContext
                  rt::UnitRunner *units = nullptr) const;
 
   private:
-    const pcs::Srs *srsRef = nullptr;
+    const pcs::Srs &srsRef;
     mutable std::mutex cfgMu; ///< Guards cfg and msmOpts.
     rt::Config cfg;
     ec::MsmOptions msmOpts;
@@ -133,12 +127,6 @@ class ProverContext
     std::mutex keysMu;
     std::deque<hyperplonk::Keys> ownedKeys;
 };
-
-/**
- * Process-wide default context (default rt::Config, no SRS attached) that
- * backs the legacy free-function prover API.
- */
-ProverContext &defaultContext();
 
 } // namespace zkphire::engine
 

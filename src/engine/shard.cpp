@@ -11,10 +11,14 @@ ShardGroup::execUnit(const std::function<void()> &unit, const rt::Config *cfg)
         // A unit must not re-shard through the group that is executing it
         // (the owner would deadlock waiting for itself), so the ambient
         // runner is cleared for the unit's extent. Helpers additionally pin
-        // their own lane config; the owner already runs under the job's.
+        // their own lane config and re-install the job settings run()
+        // captured; the owner already runs under the job's.
         rt::ScopedUnitRunner noNesting(nullptr);
         if (cfg != nullptr) {
             rt::ScopedConfig laneScope(*cfg);
+            rt::ScopedConfig streamScope(jobStream);
+            ec::ScopedMsmOptions msmScope(jobMsm);
+            rt::ScopedCancel cancelScope(jobCancel);
             unit();
         } else {
             unit();
@@ -62,6 +66,10 @@ ShardGroup::run(std::span<const std::function<void()>> units)
             return;
         }
         running = true;
+        jobStream = {.streamThreshold = rt::currentStreamThreshold(),
+                     .streamChunk = rt::currentStreamChunk()};
+        jobCancel = rt::currentCancelToken();
+        jobMsm = ec::currentMsmOptions();
         batch = units.data();
         batchSize = units.size();
         nextUnit = 0;

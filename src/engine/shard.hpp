@@ -7,9 +7,12 @@
  * lane thread parks in helperServe(), executing work units the owning
  * proof posts through the rt::UnitRunner interface — per-column commitment
  * MSMs, per-round sumcheck range splits, per-column evaluations. A helper
- * runs every unit under its own lane's rt::Config (private pool,
- * sub-budget), so a group of W lanes brings the full aggregate thread
- * budget to one proof without any pool being shared or resized.
+ * runs every unit under its own lane's thread budget and private pool, so a
+ * group of W lanes brings the full aggregate thread budget to one proof
+ * without any pool being shared or resized. The job's own settings travel
+ * with the batch: run() captures the owner's stream threshold and chunk,
+ * cancel token and MSM options, and each helper-run unit re-installs them,
+ * so a degraded (forced-streaming) retry or a cancel reaches every lane.
  *
  * Lifecycle: the owner constructs the group on its stack, the service
  * reserves helpers (expectHelper() once per reservation, all before the
@@ -30,6 +33,8 @@
 #include <exception>
 #include <mutex>
 
+#include "ec/msm.hpp"
+#include "rt/cancel.hpp"
 #include "rt/config.hpp"
 #include "rt/unit_runner.hpp"
 
@@ -63,8 +68,8 @@ class ShardGroup final : public rt::UnitRunner
     /**
      * Helper-lane entry point: serve unit batches until disband() or
      * recall(), running each unit under cfg (the helper lane's thread
-     * budget and private pool). Returns when the group is disbanded or the
-     * helper is recalled.
+     * budget and private pool) plus the settings run() captured from the
+     * owner. Returns when the group is disbanded or the helper is recalled.
      */
     void helperServe(const rt::Config &cfg);
 
@@ -96,6 +101,11 @@ class ShardGroup final : public rt::UnitRunner
     std::mutex mu;
     std::condition_variable cv;
     const std::function<void()> *batch = nullptr; ///< Current unit array.
+    /** The owner's job settings, captured by run() before the batch is
+     *  published and fixed until it drains. */
+    rt::Config jobStream; ///< Only the stream fields are set.
+    rt::CancelToken jobCancel;
+    ec::MsmOptions jobMsm;
     std::size_t batchSize = 0;
     std::size_t nextUnit = 0;
     std::size_t doneUnits = 0;

@@ -56,9 +56,6 @@ commitColumns(const pcs::Srs &srs, std::span<const P> polys,
         units.push_back([&, b, e, u] {
             if (b >= e)
                 return;
-            // Helper lanes have no ambient MSM options; re-apply the
-            // context's knobs so every group commits the same way.
-            ec::ScopedMsmOptions msmScope(opts.msm);
             groups[u] =
                 pcs::commitBatch(srs, polys.subspan(b, e - b), &groupStats[u]);
         });

@@ -145,20 +145,13 @@ HyperPlonkProof proveOnline(const ProvingKey &pk, SetupState state,
                             ProverStats *stats, const ProveOptions &opts);
 
 /**
- * Produce a HyperPlonk proof for a satisfying circuit (core entry point).
- * The transcript is bit-identical under every ProveOptions value.
+ * Produce a HyperPlonk proof for a satisfying circuit. The transcript is
+ * bit-identical under every ProveOptions value; default options inherit
+ * the ambient runtime setting and lower the core gate's plan inline.
  */
 HyperPlonkProof prove(const ProvingKey &pk, const Circuit &circuit,
-                      ProverStats *stats, const ProveOptions &opts);
-
-/**
- * One-shot convenience wrapper: proves on engine::defaultContext(), i.e.
- * default rt::Config (ZKPHIRE_THREADS honored) and the process default
- * context's plan cache. Defined in src/engine/context.cpp, above this
- * layer. Prefer an explicit engine::ProverContext for services.
- */
-HyperPlonkProof prove(const ProvingKey &pk, const Circuit &circuit,
-                      ProverStats *stats = nullptr);
+                      ProverStats *stats = nullptr,
+                      const ProveOptions &opts = {});
 
 } // namespace zkphire::hyperplonk
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <future>
 
 #include "ff/vec_ops.hpp"
 #include "rt/cancel.hpp"
-#include "rt/failpoint.hpp"
 #include "rt/parallel.hpp"
 
 namespace zkphire::pcs {
@@ -14,13 +12,6 @@ namespace zkphire::pcs {
 namespace {
 
 using zkphire::poly::FrTable;
-
-/** Streaming-walk chunk size for an n-element table. */
-std::size_t
-streamChunkFor(std::size_t n)
-{
-    return std::min(n, zkphire::poly::currentStorePolicy().chunkElems);
-}
 
 /** Whether a commit over f should take the chunk-streaming MSM: the table
  *  is mapped (walking it all at once would fault every page into RSS) or
@@ -47,7 +38,8 @@ msmStreamTables(std::span<const Mle *const> polys,
 {
     const std::size_t n = points.size();
     const std::size_t m = polys.size();
-    const std::size_t chunk = streamChunkFor(n);
+    const std::size_t chunk =
+        std::min(n, zkphire::poly::currentStorePolicy().chunkElems);
     ec::MsmAccumulator acc(n, m, ec::currentMsmOptions(), stats, chunk);
     for (const Mle *p : polys)
         p->store().adviseSequential();
@@ -76,76 +68,9 @@ commit(const Srs &srs, const Mle &f, ec::MsmStats *stats)
         return Commitment{
             msmStreamTables(one, bases.suffix[0], stats)[0].toAffine()};
     }
-    G1Jacobian c = ec::msmPippenger(f.evals(), bases.suffix[0], 0, stats);
+    G1Jacobian c = ec::msmPippenger(f.evals(), bases.suffix[0],
+                                    ec::currentMsmOptions(), stats);
     return Commitment{c.toAffine()};
-}
-
-Commitment
-commitStreamed(const Srs &srs, unsigned mu, const ChunkProducer &produce,
-               ec::MsmStats *stats)
-{
-    return std::move(commitBatchStreamed(
-        srs, mu, std::span<const ChunkProducer>(&produce, 1), stats)[0]);
-}
-
-std::vector<Commitment>
-commitBatchStreamed(const Srs &srs, unsigned mu,
-                    std::span<const ChunkProducer> produce,
-                    ec::MsmStats *stats)
-{
-    const std::size_t m = produce.size();
-    std::vector<Commitment> out;
-    out.reserve(m);
-    if (m == 0)
-        return out;
-    const std::size_t n = std::size_t(1) << mu;
-    const std::size_t chunk = streamChunkFor(n);
-    const LevelBases &bases = srs.basesFor(mu);
-    const std::span<const G1Affine> points = bases.suffix[0];
-    ec::MsmAccumulator acc(n, m, ec::currentMsmOptions(), stats, chunk);
-
-    // Double-buffer pipeline: a prefetch task fills window i+1 while this
-    // thread recodes and buckets window i, overlapping table generation
-    // with the MSM. The prefetch runs serially — the pool belongs to the
-    // MSM side — and re-applies a snapshot of the ambient stream overrides,
-    // which are thread-local and would not propagate into std::async.
-    rt::Config snap;
-    snap.threads = 1;
-    snap.streamThreshold = rt::currentStreamThreshold();
-    snap.streamChunk = rt::currentStreamChunk();
-    std::vector<Fr> bufA(m * chunk), bufB(m * chunk);
-    const auto fill = [&produce, &snap, m, chunk](std::vector<Fr> &buf,
-                                                  std::size_t b,
-                                                  std::size_t e) {
-        rt::ScopedConfig scope(snap);
-        rt::failpoint("chunk.producer");
-        for (std::size_t i = 0; i < m; ++i)
-            produce[i](b, e, buf.data() + i * chunk);
-    };
-    fill(bufA, 0, std::min(n, chunk));
-    std::vector<std::span<const Fr>> cols(m);
-    for (std::size_t b = 0; b < n; b += chunk) {
-        // Chunk boundary. A throw here (or out of acc.add below) is safe
-        // even with the prefetch in flight: next's destructor joins the
-        // async task, so bufB never outlives its writer.
-        rt::checkCancel();
-        const std::size_t e = std::min(n, b + chunk);
-        std::future<void> next;
-        if (e < n)
-            next = std::async(std::launch::async, [&fill, &bufB, e, n,
-                                                   chunk] {
-                fill(bufB, e, std::min(n, e + chunk));
-            });
-        for (std::size_t i = 0; i < m; ++i)
-            cols[i] = std::span<const Fr>(bufA.data() + i * chunk, e - b);
-        acc.add(cols, points.subspan(b, e - b));
-        if (next.valid())
-            next.get();
-        bufA.swap(bufB);
-    }
-    for (const G1Jacobian &c : acc.finalize())
-        out.push_back(Commitment{c.toAffine()});
-    return out;
 }
 
 std::vector<Commitment>

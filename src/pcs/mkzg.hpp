@@ -16,7 +16,6 @@
 #define ZKPHIRE_PCS_MKZG_HPP
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -49,32 +48,6 @@ struct OpeningProof {
  * bytes are identical either way.
  */
 Commitment commit(const Srs &srs, const Mle &f, ec::MsmStats *stats = nullptr);
-
-/**
- * Fills dst[0 .. end-begin) with entries [begin, end) of one column of
- * evaluations. commitStreamed calls it with consecutive, non-overlapping
- * [begin, end) windows in ascending order, from a prefetch thread that runs
- * concurrently with the MSM work on the previous window.
- */
-using ChunkProducer =
-    std::function<void(std::size_t begin, std::size_t end, Fr *dst)>;
-
-/**
- * Commit to a 2^mu-evaluation polynomial produced chunk by chunk: the table
- * is never materialized. A double buffer overlaps producing window i+1 with
- * recoding/bucketing window i, so table generation and MSM window
- * accumulation pipeline. Equals commit() on the materialized table exactly.
- */
-Commitment commitStreamed(const Srs &srs, unsigned mu,
-                          const ChunkProducer &produce,
-                          ec::MsmStats *stats = nullptr);
-
-/** Multi-column commitStreamed: one producer per polynomial, one shared
- *  point walk per chunk (the streaming analogue of commitBatch). */
-std::vector<Commitment>
-commitBatchStreamed(const Srs &srs, unsigned mu,
-                    std::span<const ChunkProducer> produce,
-                    ec::MsmStats *stats = nullptr);
 
 /**
  * Commit to several same-size polynomials with one multi-MSM

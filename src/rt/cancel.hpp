@@ -19,7 +19,8 @@
  * sites reach it without parameter threading. Worker threads of a pool do
  * not inherit the ambient token; boundaries are checked on the thread that
  * drives the proof, which bounds cancellation latency by one boundary, not
- * one chunk of a parallel region.
+ * one chunk of a parallel region. Shard helpers (engine::ShardGroup) do get
+ * it: each unit re-installs the owner's currentCancelToken().
  */
 #ifndef ZKPHIRE_RT_CANCEL_HPP
 #define ZKPHIRE_RT_CANCEL_HPP
@@ -107,6 +108,7 @@ class CancelToken
   private:
     friend class CancelSource;
     friend class ScopedCancel;
+    friend CancelToken currentCancelToken();
     explicit CancelToken(std::shared_ptr<detail::CancelState> s)
         : st(std::move(s))
     {
@@ -170,6 +172,16 @@ class ScopedCancel
     CancelToken tok; // keeps the state alive for the scope's duration
     const std::shared_ptr<detail::CancelState> *saved;
 };
+
+/** The ambient token, so work moved to another thread can re-install it
+ *  there (default-constructed when none is installed). */
+inline CancelToken
+currentCancelToken()
+{
+    if (detail::t_cancel == nullptr)
+        return CancelToken();
+    return CancelToken(*detail::t_cancel);
+}
 
 /** Reason observed on the ambient token (None when none installed). */
 inline CancelReason

@@ -4,7 +4,7 @@
  *
  * Every prover entry point (hyperplonk::prove, sumcheck::prove / proveZero /
  * proveOpen) takes an rt::Config instead of a raw thread count. A Config
- * bundles the three knobs a prover region can override:
+ * bundles the five knobs a prover region can override:
  *
  *   - threads:  total parallelism for the proof's kernels. 0 inherits the
  *               ambient setting (an enclosing ScopedConfig, else the pool's
@@ -18,6 +18,9 @@
  *               process-global pool; engine::ProofService points each job
  *               lane at a private pool so concurrent proofs never contend
  *               on one pool's region lock.
+ *   - streamThreshold, streamChunk: when prover tables move to the
+ *               out-of-core slab backend, and the chunk size of streaming
+ *               walks (see the field comments below).
  *
  * Configs are applied with rt::ScopedConfig (rt/parallel.hpp), an RAII
  * thread-local override — so a Config pins every kernel reached from the

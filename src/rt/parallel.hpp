@@ -8,11 +8,10 @@
  * combines are deterministic (field addition is exact, so for Fr sums any
  * order would match — the ordering guarantee keeps the contract simple).
  *
- * ScopedThreads overrides the effective parallelism on the current thread for
- * the duration of a scope; ScopedConfig additionally overrides the chunk-size
- * floor and the target pool from an rt::Config. Prover entry points apply
- * their Config parameter with ScopedConfig, and the equivalence tests use
- * ScopedThreads to pin 1/2/N-thread runs.
+ * ScopedConfig applies an rt::Config (thread budget, chunk-size floor,
+ * target pool, stream threshold and chunk) to the current thread for the
+ * duration of a scope. Prover entry points apply their Config parameter
+ * with it, and the equivalence tests use it to pin 1/2/N-thread runs.
  */
 #ifndef ZKPHIRE_RT_PARALLEL_HPP
 #define ZKPHIRE_RT_PARALLEL_HPP
@@ -68,42 +67,23 @@ currentStreamChunk()
 }
 
 /**
- * RAII override of currentThreads() on this thread. 0 means "inherit": the
- * enclosing override (if any) stays in effect, so a kernel's default
- * threads == 0 parameter cannot cancel a caller's explicit pin.
- */
-class ScopedThreads
-{
-  public:
-    explicit ScopedThreads(unsigned threads)
-        : saved(detail::t_threadOverride)
-    {
-        if (threads != 0)
-            detail::t_threadOverride = threads;
-    }
-    ~ScopedThreads() { detail::t_threadOverride = saved; }
-    ScopedThreads(const ScopedThreads &) = delete;
-    ScopedThreads &operator=(const ScopedThreads &) = delete;
-
-  private:
-    unsigned saved;
-};
-
-/**
  * RAII application of a full rt::Config on this thread: thread budget,
- * chunk-size floor, and target pool. Zero/null fields inherit the enclosing
- * setting (same "cannot cancel a caller's pin" rule as ScopedThreads).
+ * chunk-size floor, target pool, stream threshold and chunk. Zero/null
+ * fields inherit the enclosing setting, so a kernel's default threads == 0
+ * parameter cannot cancel a caller's explicit pin.
  */
 class ScopedConfig
 {
   public:
     explicit ScopedConfig(const Config &cfg)
-        : threadScope(cfg.threads),
+        : savedThreads(detail::t_threadOverride),
           savedGrain(detail::t_minGrainOverride),
           savedPool(detail::t_poolOverride),
           savedStreamThreshold(detail::t_streamThresholdOverride),
           savedStreamChunk(detail::t_streamChunkOverride)
     {
+        if (cfg.threads != 0)
+            detail::t_threadOverride = cfg.threads;
         if (cfg.minGrain != 0)
             detail::t_minGrainOverride = cfg.minGrain;
         if (cfg.pool != nullptr)
@@ -115,6 +95,7 @@ class ScopedConfig
     }
     ~ScopedConfig()
     {
+        detail::t_threadOverride = savedThreads;
         detail::t_minGrainOverride = savedGrain;
         detail::t_poolOverride = savedPool;
         detail::t_streamThresholdOverride = savedStreamThreshold;
@@ -124,7 +105,7 @@ class ScopedConfig
     ScopedConfig &operator=(const ScopedConfig &) = delete;
 
   private:
-    ScopedThreads threadScope;
+    unsigned savedThreads;
     std::size_t savedGrain;
     ThreadPool *savedPool;
     std::size_t savedStreamThreshold;

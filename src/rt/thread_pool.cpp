@@ -4,7 +4,6 @@
 
 #include "rt/config.hpp"
 #include "rt/failpoint.hpp"
-#include "rt/numa.hpp"
 
 namespace zkphire::rt {
 
@@ -46,22 +45,12 @@ ThreadPool::global()
     return pool;
 }
 
-ThreadPool::ThreadPool(unsigned threads, int numa_node)
+ThreadPool::ThreadPool(unsigned threads)
     : nThreads(threads == 0 ? defaultThreads() : threads)
 {
     workers.reserve(nThreads - 1);
     for (unsigned i = 0; i + 1 < nThreads; ++i)
-        workers.emplace_back([this, i, numa_node] {
-            // First-touch NUMA placement: a pinned worker's freshly faulted
-            // pages land on its node, and streaming chunk writers are their
-            // own consumers, so pinning the workers places the data. No-op
-            // unless ZKPHIRE_NUMA is set on a multi-node host.
-            if (numa::enabled())
-                numa::bindCurrentThreadToNode(
-                    numa_node >= 0 ? std::size_t(numa_node)
-                                   : std::size_t(i) % numa::numNodes());
-            workerLoop();
-        });
+        workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()

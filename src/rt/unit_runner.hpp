@@ -6,9 +6,10 @@
  * The chunked ThreadPool parallelizes *within* one lane's private pool; a
  * UnitRunner parallelizes *across* lanes. A kernel with W independent,
  * index-addressed work units (per-column commitment MSMs, per-round
- * sumcheck range splits, the two PCS opening chains) hands them to the
- * ambient runner; each unit may execute on another lane's thread under that
- * lane's own rt::Config. Unit i writes only to index-i output slots and the
+ * sumcheck range splits, per-column evaluations) hands them to the ambient
+ * runner; each unit may execute on another lane's thread under that lane's
+ * thread budget and pool, with the job's stream policy, cancel token and
+ * MSM options carried over. Unit i writes only to index-i output slots and the
  * caller merges slots in ascending index order, so results are bit-identical
  * to running the units inline — the same contract parallelReduce gives
  * within a pool, lifted one level up.
@@ -58,7 +59,7 @@ currentUnitRunner()
 }
 
 /**
- * RAII override of currentUnitRunner() on this thread. Unlike ScopedThreads,
+ * RAII override of currentUnitRunner() on this thread. Unlike ScopedConfig,
  * null is set verbatim (not "inherit"): a unit body must not re-shard
  * through the group that is already executing it, so runner implementations
  * clear the ambient runner around each unit.

@@ -122,8 +122,8 @@ TEST_P(MsmSizes, PippengerMatchesNaive)
     G1Jacobian expect = msmNaive(scalars, points);
     EXPECT_EQ(msmPippenger(scalars, points), expect);
     // Explicit window sizes must agree too.
-    EXPECT_EQ(msmPippenger(scalars, points, 4), expect);
-    EXPECT_EQ(msmPippenger(scalars, points, 9), expect);
+    EXPECT_EQ(msmPippenger(scalars, points, {.windowBits = 4}), expect);
+    EXPECT_EQ(msmPippenger(scalars, points, {.windowBits = 9}), expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MsmSizes,
@@ -144,7 +144,7 @@ TEST(Msm, SparseScalarsFastPath)
         points.push_back(randomG1(rng));
     }
     MsmStats stats;
-    G1Jacobian got = msmPippenger(scalars, points, 0, &stats);
+    G1Jacobian got = msmPippenger(scalars, points, currentMsmOptions(), &stats);
     EXPECT_EQ(got, msmNaive(scalars, points));
     EXPECT_GT(stats.trivialScalars, n / 2);
     EXPECT_EQ(stats.trivialScalars + stats.denseScalars, n);
@@ -172,7 +172,7 @@ TEST(Msm, StatsCountBucketWork)
         points.push_back(randomG1(rng));
     }
     MsmStats stats;
-    msmPippenger(scalars, points, 8, &stats);
+    msmPippenger(scalars, points, {.windowBits = 8}, &stats);
     EXPECT_EQ(stats.denseScalars, n);
     // 255-bit scalars, c=8 -> 32 windows; each dense scalar contributes at
     // most one bucket add per window.
@@ -337,9 +337,9 @@ TEST(Msm, ModesAgreeWithNaive)
     for (unsigned c : {0u, 4u, 9u}) {
         unsigned_mode.windowBits = signed_jac.windowBits =
             signed_ba.windowBits = c;
-        EXPECT_EQ(msmPippengerOpt(scalars, points, unsigned_mode), expect);
-        EXPECT_EQ(msmPippengerOpt(scalars, points, signed_jac), expect);
-        EXPECT_EQ(msmPippengerOpt(scalars, points, signed_ba), expect);
+        EXPECT_EQ(msmPippenger(scalars, points, unsigned_mode), expect);
+        EXPECT_EQ(msmPippenger(scalars, points, signed_jac), expect);
+        EXPECT_EQ(msmPippenger(scalars, points, signed_ba), expect);
     }
 }
 
@@ -355,7 +355,7 @@ TEST(Msm, BatchAffineCountsAffineAdds)
         points.push_back(i % 8 == 0 ? randomG1(rng) : base);
     }
     MsmStats stats;
-    G1Jacobian got = msmPippenger(scalars, points, 0, &stats);
+    G1Jacobian got = msmPippenger(scalars, points, currentMsmOptions(), &stats);
     EXPECT_EQ(got, msmNaive(scalars, points));
     EXPECT_GT(stats.affineAdds, 0u);
     EXPECT_GT(stats.batchInversions, 0u);
@@ -389,7 +389,7 @@ TEST(Msm, BatchMatchesIndependentColumns)
         auto batch = msmBatch(spans, points, opts);
         ASSERT_EQ(batch.size(), cols.size());
         for (std::size_t j = 0; j < cols.size(); ++j) {
-            G1Jacobian solo = msmPippengerOpt(cols[j], points, opts);
+            G1Jacobian solo = msmPippenger(cols[j], points, opts);
             // Bit-identical, not just equal as curve points: a batch run
             // must replay each column's exact serial operation sequence.
             EXPECT_EQ(batch[j].X, solo.X) << "col " << j;
@@ -469,11 +469,13 @@ TEST(Msm, ParallelForwardsStats)
         points.push_back(randomG1(rng));
     }
     MsmStats direct, via_parallel;
-    msmPippenger(scalars, points, 0, &direct);
-    msmPippengerParallel(scalars, points, zkphire::rt::Config{.threads = 3},
-                         0, &via_parallel);
-    // The parallel wrapper must forward its stats sink (it used to drop
-    // it, undercounting the prover's MSM work).
+    msmPippenger(scalars, points, currentMsmOptions(), &direct);
+    {
+        zkphire::rt::ScopedConfig scope({.threads = 3});
+        msmPippenger(scalars, points, currentMsmOptions(), &via_parallel);
+    }
+    // A window-parallel run must fill its stats sink exactly like a
+    // default-config run, or the prover's MSM work is undercounted.
     EXPECT_EQ(via_parallel.pointAdds, direct.pointAdds);
     EXPECT_EQ(via_parallel.pointDoubles, direct.pointDoubles);
     EXPECT_EQ(via_parallel.affineAdds, direct.affineAdds);
@@ -493,13 +495,10 @@ TEST(Msm, ParallelMatchesSerial)
         points.push_back(i % 16 == 0 ? randomG1(rng) : base);
     }
     G1Jacobian serial = msmPippenger(scalars, points);
-    using zkphire::rt::Config;
-    EXPECT_EQ(msmPippengerParallel(scalars, points, Config{.threads = 4}),
-              serial);
-    EXPECT_EQ(msmPippengerParallel(scalars, points, Config{.threads = 1}),
-              serial);
-    EXPECT_EQ(msmPippengerParallel(scalars, points, Config{.threads = 24}),
-              serial);
+    for (unsigned threads : {4u, 1u, 24u}) {
+        zkphire::rt::ScopedConfig scope({.threads = threads});
+        EXPECT_EQ(msmPippenger(scalars, points), serial) << threads;
+    }
 }
 
 TEST(Msm, SerialInsidePoolWorker)
@@ -518,8 +517,8 @@ TEST(Msm, SerialInsidePoolWorker)
     MsmStats serial;
     G1Jacobian expect;
     {
-        zkphire::rt::ScopedThreads one(1);
-        expect = msmPippenger(scalars, points, 0, &serial);
+        zkphire::rt::ScopedConfig one({.threads = 1});
+        expect = msmPippenger(scalars, points, currentMsmOptions(), &serial);
     }
     ASSERT_GT(serial.batchInversions, 0u);
 
@@ -531,7 +530,8 @@ TEST(Msm, SerialInsidePoolWorker)
     zkphire::rt::parallelFor(
         0, 4,
         [&](std::size_t i) {
-            got[i] = msmPippenger(scalars, points, 0, &inner[i]);
+            got[i] = msmPippenger(scalars, points, currentMsmOptions(),
+                                  &inner[i]);
         },
         /*grain=*/1);
     for (std::size_t i = 0; i < 4; ++i) {
@@ -570,7 +570,8 @@ TEST(Msm, ManyMatchesIndependentRuns)
         std::uint64_t dense = 0;
         for (std::size_t j = 0; j < jobs.size(); ++j) {
             MsmStats solo;
-            EXPECT_EQ(many[j], msmPippenger(scalars[j], points[j], 0, &solo))
+            EXPECT_EQ(many[j], msmPippenger(scalars[j], points[j],
+                                            currentMsmOptions(), &solo))
                 << "threads " << threads << " job " << j;
             dense += solo.denseScalars;
         }

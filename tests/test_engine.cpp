@@ -107,8 +107,8 @@ TEST(ProverContext, PreprocessOwnsKeysAndProves)
 TEST(ProverContext, PlanCacheIsPerContext)
 {
     const gates::Gate vanilla = gates::vanillaCoreGate();
-    engine::ProverContext a;
-    engine::ProverContext b;
+    engine::ProverContext a(sharedSrs());
+    engine::ProverContext b(sharedSrs());
     auto plan_a = a.plans().maskedPlan(vanilla.expr);
     auto plan_b = b.plans().maskedPlan(vanilla.expr);
     // Same structure, but never the same object: contexts own their plans.

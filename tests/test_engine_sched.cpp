@@ -18,11 +18,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "engine/service.hpp"
+#include "engine/shard.hpp"
 #include "hyperplonk/serialize.hpp"
 #include "hyperplonk/verifier.hpp"
+#include "rt/parallel.hpp"
 
 using namespace zkphire;
 using namespace zkphire::hyperplonk;
@@ -459,6 +463,65 @@ TEST(ProofServiceSharding, ShardingOffNeverReservesHelpers)
     EXPECT_EQ(r.shardLanes, 1u);
     EXPECT_EQ(proofBytes(r.proof), fx.reference);
     EXPECT_EQ(service.metrics().shardedPhases, 0u);
+}
+
+TEST(ProofServiceSharding, HelperUnitsRunUnderTheOwnersJobSettings)
+{
+    // A degraded retry forces streaming (threshold 1), and a cancel must
+    // reach every lane: a unit that a helper lane runs has to see the
+    // owner's stream settings, cancel token and MSM options, not only the
+    // helper lane's own thread budget and pool.
+    engine::ShardGroup group;
+    group.expectHelper();
+    rt::ThreadPool helperPool(1);
+    std::thread helper(
+        [&] { group.helperServe({.threads = 1, .pool = &helperPool}); });
+    const std::thread::id helperId = helper.get_id();
+
+    struct Seen {
+        std::size_t threshold = 0;
+        std::size_t chunk = 0;
+        bool cancelled = false;
+        unsigned windowBits = 0;
+    };
+    constexpr std::size_t kUnits = 32;
+    std::vector<Seen> seen(kUnits);
+    std::atomic<unsigned> helperUnits{0};
+    std::vector<std::function<void()>> units;
+    for (std::size_t i = 0; i < kUnits; ++i)
+        units.push_back([&, i] {
+            seen[i] = Seen{rt::currentStreamThreshold(),
+                           rt::currentStreamChunk(), rt::cancelRequested(),
+                           ec::currentMsmOptions().windowBits};
+            if (std::this_thread::get_id() == helperId) {
+                ++helperUnits;
+                return;
+            }
+            // Hold the owner's unit until the helper has claimed one, so
+            // the batch really is split across the two lanes.
+            const auto until = steady_clock::now() + std::chrono::seconds(10);
+            while (helperUnits == 0 && steady_clock::now() < until)
+                std::this_thread::yield();
+        });
+
+    rt::CancelSource source;
+    source.requestCancel();
+    {
+        rt::ScopedConfig job({.streamThreshold = 1, .streamChunk = 64});
+        rt::ScopedCancel cancel(source.token());
+        ec::ScopedMsmOptions msm({.windowBits = 7});
+        group.run(units);
+    }
+    group.disband();
+    helper.join();
+
+    ASSERT_GT(helperUnits.load(), 0u);
+    for (std::size_t i = 0; i < kUnits; ++i) {
+        EXPECT_EQ(seen[i].threshold, 1u) << "unit " << i;
+        EXPECT_EQ(seen[i].chunk, 64u) << "unit " << i;
+        EXPECT_TRUE(seen[i].cancelled) << "unit " << i;
+        EXPECT_EQ(seen[i].windowBits, 7u) << "unit " << i;
+    }
 }
 
 TEST(ProofServiceConfig, HotSwapDuringTrafficIsRaceFreeAndDeterministic)

@@ -303,41 +303,6 @@ TEST_F(FaultTest, SlabGrowFailureMigratesDataToRam)
     EXPECT_EQ(t[grown - 1], Fr::zero());
 }
 
-TEST_F(FaultTest, ProducerFaultPropagatesAcrossPrefetchThread)
-{
-    Rng rng(4242);
-    const unsigned mu = 8;
-    std::vector<poly::Mle> polys;
-    for (int i = 0; i < 2; ++i)
-        polys.push_back(poly::Mle::random(mu, rng));
-    std::vector<pcs::ChunkProducer> producers;
-    for (const poly::Mle &p : polys)
-        producers.push_back([&p](std::size_t b, std::size_t e, Fr *dst) {
-            std::copy(p.data() + b, p.data() + e, dst);
-        });
-
-    rt::Config cfg;
-    cfg.streamThreshold = 1;
-    cfg.streamChunk = 64; // 2^8 table -> 4 chunks through the pipeline
-    rt::ScopedConfig scope(cfg);
-
-    const std::vector<pcs::Commitment> reference =
-        pcs::commitBatchStreamed(sharedSrs(), mu, producers);
-
-    // The producer callback runs on the prefetch side of the double-buffer
-    // pipeline; a fault there must surface to the consumer as the original
-    // exception type, not hang or abort.
-    rt::setFailpoint("chunk.producer",
-                     FailSpec{.kind = FailKind::Enomem, .nth = 2});
-    EXPECT_THROW(pcs::commitBatchStreamed(sharedSrs(), mu, producers),
-                 std::bad_alloc);
-    EXPECT_EQ(rt::failpointFires("chunk.producer"), 1u);
-
-    // The pipeline unwound cleanly: the next call succeeds and matches.
-    rt::clearFailpoints();
-    EXPECT_EQ(pcs::commitBatchStreamed(sharedSrs(), mu, producers), reference);
-}
-
 // ---------------------------------------------------------------------------
 // Service recovery
 // ---------------------------------------------------------------------------
@@ -542,7 +507,6 @@ TEST(FaultSoak, MixedLoadEveryFutureResolvesTyped)
         rt::setFailpointsFromSpec(
             "sumcheck.round=throw:p=0.02:seed=1;"
             "msm.accum=enomem:p=0.02:seed=2;"
-            "chunk.producer=enospc:p=0.05:seed=3;"
             "slab.create=enospc:p=0.3:seed=4;"
             "slab.grow=enospc:p=0.1:seed=5;"
             "rt.worker=throw:p=0.002:seed=6");

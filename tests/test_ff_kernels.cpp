@@ -314,7 +314,7 @@ TEST(FfKernels, HyperPlonkTranscriptIdenticalKernelsOnOff)
 
     auto prove_bytes = [&](bool generic, unsigned threads) {
         ScopedGenericKernels scope(generic);
-        rt::ScopedThreads pin(threads);
+        rt::ScopedConfig pin({.threads = threads});
         auto proof = hyperplonk::prove(keys.pk, circuit, nullptr);
         return hyperplonk::serializeProof(proof);
     };
@@ -345,7 +345,7 @@ TEST(FfKernels, HyperPlonkTranscriptIdenticalAsmGlvThreadMatrix)
 
     auto prove_bytes = [&](bool asm_on, bool glv_on, unsigned threads) {
         ff::kernels::ScopedAsmKernels asm_scope(asm_on);
-        rt::ScopedThreads pin(threads);
+        rt::ScopedConfig pin({.threads = threads});
         hyperplonk::ProveOptions opts;
         opts.plans = &ctx.plans();
         opts.msm.glv = glv_on;

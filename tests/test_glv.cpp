@@ -151,8 +151,8 @@ TEST(Glv, MsmGlvMatchesPlainAndNaive)
             glv_on.batchAffineMinPoints = glv_off.batchAffineMinPoints = 0;
             glv_on.glv = true;
             glv_off.glv = false;
-            const G1Jacobian a = msmPippengerOpt(scalars, points, glv_on);
-            const G1Jacobian b = msmPippengerOpt(scalars, points, glv_off);
+            const G1Jacobian a = msmPippenger(scalars, points, glv_on);
+            const G1Jacobian b = msmPippenger(scalars, points, glv_off);
             EXPECT_EQ(a, b);
             EXPECT_EQ(a.toAffine(), b.toAffine());
             if (n <= 64) {

@@ -223,21 +223,26 @@ TEST(ThreadPool, ConcurrentExternalCallersSerializeSafely)
     EXPECT_EQ(r2, std::size_t(40000) * 39999 / 2);
 }
 
-TEST(ThreadPool, ScopedThreadsOverridesAndRestores)
+TEST(ThreadPool, ScopedConfigThreadsOverrideAndRestore)
 {
     unsigned base = rt::currentThreads();
     {
-        rt::ScopedThreads s(1);
+        rt::ScopedConfig s({.threads = 1});
         EXPECT_EQ(rt::currentThreads(), 1u);
         {
-            rt::ScopedThreads s2(5);
+            rt::ScopedConfig s2({.threads = 5});
             EXPECT_EQ(rt::currentThreads(), 5u);
         }
         EXPECT_EQ(rt::currentThreads(), 1u);
+        {
+            // 0 inherits: the enclosing pin stays in effect.
+            rt::ScopedConfig inherit({.threads = 0});
+            EXPECT_EQ(rt::currentThreads(), 1u);
+        }
     }
     EXPECT_EQ(rt::currentThreads(), base);
     // 0 = no override: falls through to the pool size.
-    rt::ScopedThreads s0(0);
+    rt::ScopedConfig s0({.threads = 0});
     EXPECT_EQ(rt::currentThreads(), rt::ThreadPool::global().numThreads());
 }
 

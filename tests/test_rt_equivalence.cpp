@@ -3,7 +3,7 @@
  * Serial-vs-parallel equivalence property tests: every kernel the zkphire::rt
  * pool parallelizes (SumCheck rounds, MLE folds, batch inversion, Pippenger
  * MSM) must produce bit-identical field/curve outputs at 1, 2, and N threads.
- * Thread counts are pinned per run with rt::ScopedThreads / the kernels'
+ * Thread counts are pinned per run with rt::ScopedConfig / the kernels'
  * explicit `threads` parameters, so the tests are independent of
  * ZKPHIRE_THREADS and of the host's core count.
  */
@@ -87,13 +87,13 @@ TEST(RtEquivalence, MleFoldIdenticalAcrossThreads)
         Fr r = Fr::random(rng);
         poly::Mle serial = m;
         {
-            rt::ScopedThreads one(1);
+            rt::ScopedConfig one({.threads = 1});
             serial.fixFirstVarInPlace(r);
         }
         for (unsigned threads : kThreadCounts) {
             poly::Mle par = m;
             {
-                rt::ScopedThreads t(threads);
+                rt::ScopedConfig t({.threads = threads});
                 par.fixFirstVarInPlace(r);
             }
             ASSERT_EQ(par.size(), serial.size());
@@ -114,13 +114,13 @@ TEST(RtEquivalence, VirtualPolySumAndFoldIdenticalAcrossThreads)
     poly::VirtualPoly serial_vp(gate.expr, tables);
     Fr serial_sum;
     {
-        rt::ScopedThreads one(1);
+        rt::ScopedConfig one({.threads = 1});
         serial_sum = serial_vp.sumOverHypercube();
         serial_vp.fixFirstVarInPlace(r);
     }
     for (unsigned threads : kThreadCounts) {
         poly::VirtualPoly par_vp(gate.expr, tables);
-        rt::ScopedThreads t(threads);
+        rt::ScopedConfig t({.threads = threads});
         EXPECT_EQ(par_vp.sumOverHypercube(), serial_sum);
         par_vp.fixFirstVarInPlace(r);
         for (std::size_t s = 0; s < par_vp.numSlots(); ++s) {
@@ -150,7 +150,7 @@ TEST(RtEquivalence, BatchInverseIdenticalAcrossThreads)
 
     std::vector<Fr> serial = xs;
     {
-        rt::ScopedThreads one(1);
+        rt::ScopedConfig one({.threads = 1});
         ff::batchInverseInPlace(std::span<Fr>(serial));
     }
     for (std::size_t i = 0; i < n; ++i)
@@ -159,7 +159,7 @@ TEST(RtEquivalence, BatchInverseIdenticalAcrossThreads)
     for (unsigned threads : kThreadCounts) {
         std::vector<Fr> par = xs;
         {
-            rt::ScopedThreads t(threads);
+            rt::ScopedConfig t({.threads = threads});
             ff::batchInverseInPlace(std::span<Fr>(par));
         }
         for (std::size_t i = 0; i < n; ++i)
@@ -184,11 +184,13 @@ TEST(RtEquivalence, MsmPippengerBitIdenticalAcrossThreads)
         points.push_back(ec::randomG1(rng));
     }
 
-    ec::G1Jacobian serial =
-        ec::msmPippengerParallel(scalars, points, rt::Config{.threads = 1});
+    ec::G1Jacobian serial = [&] {
+        rt::ScopedConfig one({.threads = 1});
+        return ec::msmPippenger(scalars, points);
+    }();
     for (unsigned threads : kThreadCounts) {
-        ec::G1Jacobian par = ec::msmPippengerParallel(
-            scalars, points, rt::Config{.threads = threads});
+        rt::ScopedConfig t({.threads = threads});
+        ec::G1Jacobian par = ec::msmPippenger(scalars, points);
         // Stronger than curve-point equality: the window fold replays the
         // serial operation order, so raw Jacobian coordinates must match.
         EXPECT_EQ(par.X, serial.X);
@@ -199,12 +201,12 @@ TEST(RtEquivalence, MsmPippengerBitIdenticalAcrossThreads)
     // Stats must also be independent of the thread count.
     ec::MsmStats s1, s4;
     {
-        rt::ScopedThreads one(1);
-        ec::msmPippenger(scalars, points, 0, &s1);
+        rt::ScopedConfig one({.threads = 1});
+        ec::msmPippenger(scalars, points, ec::currentMsmOptions(), &s1);
     }
     {
-        rt::ScopedThreads four(4);
-        ec::msmPippenger(scalars, points, 0, &s4);
+        rt::ScopedConfig four({.threads = 4});
+        ec::msmPippenger(scalars, points, ec::currentMsmOptions(), &s4);
     }
     EXPECT_EQ(s1.pointAdds, s4.pointAdds);
     EXPECT_EQ(s1.pointDoubles, s4.pointDoubles);
@@ -220,11 +222,11 @@ TEST(RtEquivalence, EqTableIdenticalAcrossThreads)
         point.push_back(Fr::random(rng));
 
     poly::Mle serial = [&] {
-        rt::ScopedThreads one(1);
+        rt::ScopedConfig one({.threads = 1});
         return poly::Mle::eqTable(point);
     }();
     for (unsigned threads : kThreadCounts) {
-        rt::ScopedThreads t(threads);
+        rt::ScopedConfig t({.threads = threads});
         poly::Mle par = poly::Mle::eqTable(point);
         ASSERT_EQ(par.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i)

@@ -62,7 +62,7 @@ TEST(Srs, FoldTreeMatchesDoubleAndAddOracle)
 TEST(Srs, LevelsIndependentOfThreadCount)
 {
     auto build = [](unsigned threads) {
-        rt::ScopedThreads pin(threads);
+        rt::ScopedConfig pin({.threads = threads});
         Rng rng(0x7e5);
         return pcs::Srs::generate(11, rng);
     };
