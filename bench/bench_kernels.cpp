@@ -207,6 +207,108 @@ BENCHMARK(BM_FieldSquare_FrAsm);
 BENCHMARK(BM_FieldSquare_FqUnrolled);
 BENCHMARK(BM_FieldSquare_FqAsm);
 
+// ---------------------------------------------------------------------------
+// BM_FieldAdd / Sub / Dbl / Neg: the carry-chain kernels in the same span
+// shape as BM_FieldMul (items processed = field operations). The bucket
+// phase's batched-affine add spends about as many of these as multiplies,
+// so a slow add shows up here before it shows up in an MSM.
+// ---------------------------------------------------------------------------
+
+enum class LinearOp { Add, Sub, Dbl, Neg };
+
+template <class F>
+static void
+fieldLinearBench(benchmark::State &state, LinearOp op)
+{
+    constexpr std::size_t kSpan = 1024;
+    Rng rng(17);
+    std::vector<F> a, b, dst(kSpan);
+    for (std::size_t i = 0; i < kSpan; ++i) {
+        a.push_back(F::random(rng));
+        b.push_back(F::random(rng));
+    }
+    for (auto _ : state) {
+        switch (op) {
+        case LinearOp::Add:
+            for (std::size_t i = 0; i < kSpan; ++i)
+                dst[i] = a[i] + b[i];
+            break;
+        case LinearOp::Sub:
+            for (std::size_t i = 0; i < kSpan; ++i)
+                dst[i] = a[i] - b[i];
+            break;
+        case LinearOp::Dbl:
+            for (std::size_t i = 0; i < kSpan; ++i)
+                dst[i] = a[i].dbl();
+            break;
+        case LinearOp::Neg:
+            for (std::size_t i = 0; i < kSpan; ++i)
+                dst[i] = a[i].neg();
+            break;
+        }
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kSpan);
+}
+
+static void
+BM_FieldAdd_Fr(benchmark::State &state)
+{
+    fieldLinearBench<Fr>(state, LinearOp::Add);
+}
+
+static void
+BM_FieldAdd_Fq(benchmark::State &state)
+{
+    fieldLinearBench<ff::Fq>(state, LinearOp::Add);
+}
+
+static void
+BM_FieldSub_Fr(benchmark::State &state)
+{
+    fieldLinearBench<Fr>(state, LinearOp::Sub);
+}
+
+static void
+BM_FieldSub_Fq(benchmark::State &state)
+{
+    fieldLinearBench<ff::Fq>(state, LinearOp::Sub);
+}
+
+static void
+BM_FieldDbl_Fr(benchmark::State &state)
+{
+    fieldLinearBench<Fr>(state, LinearOp::Dbl);
+}
+
+static void
+BM_FieldDbl_Fq(benchmark::State &state)
+{
+    fieldLinearBench<ff::Fq>(state, LinearOp::Dbl);
+}
+
+static void
+BM_FieldNeg_Fr(benchmark::State &state)
+{
+    fieldLinearBench<Fr>(state, LinearOp::Neg);
+}
+
+static void
+BM_FieldNeg_Fq(benchmark::State &state)
+{
+    fieldLinearBench<ff::Fq>(state, LinearOp::Neg);
+}
+
+BENCHMARK(BM_FieldAdd_Fr);
+BENCHMARK(BM_FieldAdd_Fq);
+BENCHMARK(BM_FieldSub_Fr);
+BENCHMARK(BM_FieldSub_Fq);
+BENCHMARK(BM_FieldDbl_Fr);
+BENCHMARK(BM_FieldDbl_Fq);
+BENCHMARK(BM_FieldNeg_Fr);
+BENCHMARK(BM_FieldNeg_Fq);
+
 static void
 BM_Sha3_256(benchmark::State &state)
 {
@@ -244,34 +346,15 @@ BM_G1Double(benchmark::State &state)
 }
 BENCHMARK(BM_G1Double);
 
-static void
-BM_MsmPippenger(benchmark::State &state)
-{
-    const std::size_t n = std::size_t(state.range(0));
-    Rng rng(7);
-    std::vector<Fr> scalars;
-    std::vector<ec::G1Affine> points;
-    ec::G1Affine base = ec::randomG1(rng);
-    for (std::size_t i = 0; i < n; ++i) {
-        scalars.push_back(Fr::random(rng));
-        // Cheap point variety: reuse a handful of random points.
-        points.push_back(i % 8 == 0 ? ec::randomG1(rng) : base);
-    }
-    for (auto _ : state) {
-        auto r = ec::msmPippenger(scalars, points);
-        benchmark::DoNotOptimize(r);
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_MsmPippenger)->Arg(256)->Arg(1024)->Arg(4096);
-
 // ---------------------------------------------------------------------------
 // BM_Msm family: the MSM pipeline variants head to head — unsigned digits
 // (the pre-overhaul kernel), signed digits with Jacobian buckets, signed
 // digits with batched-affine buckets (the default hot path), and the
 // multi-column msmBatch against k independent MSMs on the witness-commit
-// shape. Points are a tiled pool of random points so the 2^18 fixtures
-// build quickly; every variant sees identical inputs.
+// shape. Every variant sees identical inputs: n distinct points P + i*Q,
+// so buckets gather from an n-point table as they do on SRS bases (a
+// small tiled pool would stay cache-resident and flatter the variants that
+// touch more bucket entries).
 // ---------------------------------------------------------------------------
 
 static const std::vector<ec::G1Affine> &
@@ -282,13 +365,14 @@ msmBenchPoints(std::size_t n)
     if (it != cache.end())
         return it->second;
     Rng rng(21);
-    std::vector<ec::G1Affine> pool;
-    for (int i = 0; i < 256; ++i)
-        pool.push_back(ec::randomG1(rng));
-    std::vector<ec::G1Affine> pts(n);
-    for (std::size_t i = 0; i < n; ++i)
-        pts[i] = pool[i % pool.size()];
-    return cache.emplace(n, std::move(pts)).first->second;
+    const ec::G1Affine q = ec::randomG1(rng);
+    ec::G1Jacobian acc = ec::G1Jacobian::fromAffine(ec::randomG1(rng));
+    std::vector<ec::G1Jacobian> jac(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        jac[i] = acc;
+        acc = acc.addMixed(q);
+    }
+    return cache.emplace(n, ec::batchToAffine(jac)).first->second;
 }
 
 static std::vector<Fr>
@@ -314,6 +398,14 @@ msmVariantBench(benchmark::State &state, const ec::MsmOptions &opts)
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
+
+/** The default pipeline at small sizes (CI smoke runs the 1024 point). */
+static void
+BM_MsmPippenger(benchmark::State &state)
+{
+    msmVariantBench(state, {});
+}
+BENCHMARK(BM_MsmPippenger)->Arg(256)->Arg(1024)->Arg(4096);
 
 static void
 BM_Msm_Unsigned(benchmark::State &state)
@@ -674,14 +766,8 @@ BM_MsmPippengerThreads(benchmark::State &state)
 {
     const std::size_t n = 4096;
     const unsigned threads = unsigned(state.range(0));
-    Rng rng(12);
-    std::vector<Fr> scalars;
-    std::vector<ec::G1Affine> points;
-    ec::G1Affine base = ec::randomG1(rng);
-    for (std::size_t i = 0; i < n; ++i) {
-        scalars.push_back(Fr::random(rng));
-        points.push_back(i % 8 == 0 ? ec::randomG1(rng) : base);
-    }
+    const auto &points = msmBenchPoints(n);
+    const std::vector<Fr> scalars = msmBenchScalars(n, 12);
     rt::ScopedConfig scope({.threads = threads});
     for (auto _ : state) {
         auto r = ec::msmPippenger(scalars, points);

@@ -19,6 +19,7 @@ ShardGroup::execUnit(const std::function<void()> &unit, const rt::Config *cfg)
             rt::ScopedConfig streamScope(jobStream);
             ec::ScopedMsmOptions msmScope(jobMsm);
             rt::ScopedCancel cancelScope(jobCancel);
+            poly::ScopedArena arenaScope(jobArena);
             unit();
         } else {
             unit();
@@ -70,6 +71,7 @@ ShardGroup::run(std::span<const std::function<void()>> units)
                      .streamChunk = rt::currentStreamChunk()};
         jobCancel = rt::currentCancelToken();
         jobMsm = ec::currentMsmOptions();
+        jobArena = poly::currentArena();
         batch = units.data();
         batchSize = units.size();
         nextUnit = 0;

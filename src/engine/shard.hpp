@@ -11,8 +11,10 @@
  * group of W lanes brings the full aggregate thread budget to one proof
  * without any pool being shared or resized. The job's own settings travel
  * with the batch: run() captures the owner's stream threshold and chunk,
- * cancel token and MSM options, and each helper-run unit re-installs them,
- * so a degraded (forced-streaming) retry or a cancel reaches every lane.
+ * cancel token, MSM options and buffer arena, and each helper-run unit
+ * re-installs them, so a degraded (forced-streaming) retry or a cancel
+ * reaches every lane, and tables a helper allocates come from the job's
+ * arena.
  *
  * Lifecycle: the owner constructs the group on its stack, the service
  * reserves helpers (expectHelper() once per reservation, all before the
@@ -34,6 +36,7 @@
 #include <mutex>
 
 #include "ec/msm.hpp"
+#include "poly/mle_store.hpp"
 #include "rt/cancel.hpp"
 #include "rt/config.hpp"
 #include "rt/unit_runner.hpp"
@@ -106,6 +109,7 @@ class ShardGroup final : public rt::UnitRunner
     rt::Config jobStream; ///< Only the stream fields are set.
     rt::CancelToken jobCancel;
     ec::MsmOptions jobMsm;
+    poly::BufferArena *jobArena = nullptr; ///< Mutex-guarded; shareable.
     std::size_t batchSize = 0;
     std::size_t nextUnit = 0;
     std::size_t doneUnits = 0;

@@ -8,12 +8,16 @@
  * field Fq (381-bit, elliptic-curve coordinates), matching the datatypes the
  * paper's datapaths move (255b and 381b operands).
  *
- * The hot path dispatches to the fully unrolled no-carry kernels in
- * ff/mul_impl.hpp for the 4- and 6-limb widths (both moduli leave headroom
- * in their top limb); the generic CIOS loop remains for other widths and as
- * a runtime-selectable oracle (ZKPHIRE_FF_GENERIC=1 /
+ * The arithmetic operators are force-inlined. For the 4- and 6-limb widths
+ * (both moduli leave headroom in their top limb) add, sub, dbl and neg run
+ * the unrolled flag-chain kernels of ff/mul_impl.hpp, and mul and square
+ * run the ADX/BMI2 asm of ff/mul_asm_x86.hpp where the host has it, else
+ * the unrolled no-carry kernels. The generic CIOS loop remains for other
+ * widths and as a runtime-selectable oracle (ZKPHIRE_FF_GENERIC=1 /
  * kernels::forceGenericKernels) that the kernel property suite and the
- * transcript bit-identity regression check against.
+ * transcript bit-identity regression check against; it and the other
+ * fallbacks are outlined, so the inlined operators carry only the fast
+ * path.
  *
  * All derived Montgomery constants (R, R^2, -p^{-1} mod 2^64) are computed
  * once at first use from the modulus alone, so there are no hand-copied magic
@@ -124,62 +128,103 @@ class PrimeField
     }
 
     /**
-     * Montgomery multiplication: returns a*b*R^{-1} mod p. Dispatches to
-     * the unrolled no-carry kernel for the fixed limb counts (4 = Fr,
-     * 6 = Fq); the generic CIOS loop below stays as the oracle path and
-     * covers every other width.
+     * Montgomery multiplication: returns a*b*R^{-1} mod p. Force-inlined,
+     * and on x86-64 builds with the asm kernels the inlined body is only
+     * the ADX/BMI2 block: the unrolled and generic kernels sit behind the
+     * outlined montMulPortable, which the runtime switches reach. Builds
+     * without the asm inline the unrolled no-carry kernel instead. Widths
+     * without a fixed kernel take the generic CIOS loop.
      */
-    static Big
+    static ZKPHIRE_FF_INLINE Big
     montMul(const Big &a, const Big &b)
     {
         if constexpr (kFixedKernels) {
+#if ZKPHIRE_HAVE_X86_ASM
+            if (kernels::asmKernelsEnabled() && useFixedKernels()) [[likely]] {
+                Big out;
+                kernels::montMulAsmX86<Big, kMod, kInv>(
+                    out.limb.data(), a.limb.data(), b.limb.data());
+                return out;
+            }
+            return montMulPortable(a, b);
+#else
             if (useFixedKernels()) [[likely]] {
                 Big out;
-#if ZKPHIRE_HAVE_X86_ASM
-                if (kernels::asmKernelsEnabled()) [[likely]] {
-                    kernels::montMulAsmX86<Big, kMod, kInv>(
-                        out.limb.data(), a.limb.data(), b.limb.data());
-                    return out;
-                }
-#endif
                 kernels::montMulNoCarry<Big, kMod, kInv>(
                     out.limb.data(), a.limb.data(), b.limb.data());
                 return out;
             }
+#endif
         }
         return montMulGeneric(a, b);
     }
 
-    /** Montgomery squaring: a*a*R^{-1} mod p. The asm dual-carry-chain
-     *  multiplier with both operands equal beats the dedicated unrolled
-     *  C++ square on ADX hosts (see mul_asm_x86.hpp); the C++ square
-     *  (~17-19% fewer limb muls than a general product) remains the
-     *  portable fast path. */
-    static Big
+    /** Montgomery squaring: a*a*R^{-1} mod p, dispatched like montMul.
+     *  The asm dual-carry-chain multiplier with both operands equal beats
+     *  the dedicated unrolled C++ square on ADX hosts (see
+     *  mul_asm_x86.hpp); the C++ square (~17-19% fewer limb muls than a
+     *  general product) remains the portable fast path. */
+    static ZKPHIRE_FF_INLINE Big
     montSquare(const Big &a)
     {
         if constexpr (kFixedKernels) {
+#if ZKPHIRE_HAVE_X86_ASM
+            if (kernels::asmKernelsEnabled() && useFixedKernels()) [[likely]] {
+                Big out;
+                kernels::montMulAsmX86<Big, kMod, kInv>(
+                    out.limb.data(), a.limb.data(), a.limb.data());
+                return out;
+            }
+            return montSquarePortable(a);
+#else
             if (useFixedKernels()) [[likely]] {
                 Big out;
-#if ZKPHIRE_HAVE_X86_ASM
-                if (kernels::asmKernelsEnabled()) [[likely]] {
-                    kernels::montMulAsmX86<Big, kMod, kInv>(
-                        out.limb.data(), a.limb.data(), a.limb.data());
-                    return out;
-                }
-#endif
                 kernels::montSquare<Big, kMod, kInv>(out.limb.data(),
                                                      a.limb.data());
                 return out;
             }
+#endif
         }
         return montMulGeneric(a, a);
     }
 
+#if ZKPHIRE_HAVE_X86_ASM
+    /** montMul with the asm kernel switched off (ZKPHIRE_ASM=0, a host
+     *  without ADX/BMI2, or a test scope): the unrolled kernel, or the
+     *  generic oracle under ZKPHIRE_FF_GENERIC. Outlined and cold, so the
+     *  inlined asm path stays small at every call site. */
+    ZKPHIRE_FF_COLD static Big
+    montMulPortable(const Big &a, const Big &b)
+    {
+        if (useFixedKernels()) {
+            Big out;
+            kernels::montMulNoCarry<Big, kMod, kInv>(
+                out.limb.data(), a.limb.data(), b.limb.data());
+            return out;
+        }
+        return montMulGeneric(a, b);
+    }
+
+    /** montSquare's counterpart of montMulPortable. */
+    ZKPHIRE_FF_COLD static Big
+    montSquarePortable(const Big &a)
+    {
+        if (useFixedKernels()) {
+            Big out;
+            kernels::montSquare<Big, kMod, kInv>(out.limb.data(),
+                                                 a.limb.data());
+            return out;
+        }
+        return montMulGeneric(a, a);
+    }
+#endif
+
     /** Generic CIOS Montgomery multiplication (any limb count; the oracle
      *  the unrolled kernels are property-tested against). Never inlined:
      *  it is the cold branch of every dispatch site, and inlining its loop
-     *  body next to the unrolled kernel costs the hot path registers. */
+     *  body next to the unrolled kernel costs the hot path registers. Not
+     *  marked cold: the ZKPHIRE_FF_GENERIC test legs run every multiply
+     *  through it, and cold code is optimized for size. */
 #if defined(__GNUC__)
     __attribute__((noinline))
 #endif
@@ -220,6 +265,43 @@ class PrimeField
         if (t[N] || out >= c.mod)
             out.subInPlace(c.mod);
         return out;
+    }
+
+    /** Generic add, subtract and negate: the oracle path, outlined like
+     *  montMulGeneric and returning a fresh element, so the inlined
+     *  operators carry only the fixed-limb kernel and their result never
+     *  has its address taken. */
+    ZKPHIRE_FF_COLD PrimeField
+    addGeneric(const PrimeField &o) const
+    {
+        PrimeField f = *this;
+        u64 carry = f.v.addInPlace(o.v);
+        // zkphire-lint: ct-exempt(generic fallback; fixed-limb builds take the branchless kernel)
+        if (carry || f.v >= consts().mod)
+            f.v.subInPlace(consts().mod);
+        return f;
+    }
+
+    ZKPHIRE_FF_COLD PrimeField
+    subGeneric(const PrimeField &o) const
+    {
+        PrimeField f = *this;
+        u64 borrow = f.v.subInPlace(o.v);
+        // zkphire-lint: ct-exempt(generic fallback; fixed-limb builds take the branchless kernel)
+        if (borrow)
+            f.v.addInPlace(consts().mod);
+        return f;
+    }
+
+    ZKPHIRE_FF_COLD PrimeField
+    negGeneric() const
+    {
+        if (isZero())
+            return *this;
+        PrimeField f;
+        f.v = consts().mod;
+        f.v.subInPlace(v);
+        return f;
     }
 
   public:
@@ -337,15 +419,21 @@ class PrimeField
     bool operator==(const PrimeField &o) const { return v == o.v; }
     bool operator!=(const PrimeField &o) const { return v != o.v; }
 
-    PrimeField
+    ZKPHIRE_FF_INLINE PrimeField
     operator+(const PrimeField &o) const
     {
-        PrimeField f = *this;
-        f += o;
-        return f;
+        if constexpr (kFixedKernels) {
+            if (useFixedKernels()) [[likely]] {
+                PrimeField f;
+                kernels::addMod<Big, kMod>(f.v.limb.data(), v.limb.data(),
+                                           o.v.limb.data());
+                return f;
+            }
+        }
+        return addGeneric(o);
     }
 
-    PrimeField &
+    ZKPHIRE_FF_INLINE PrimeField &
     operator+=(const PrimeField &o)
     {
         if constexpr (kFixedKernels) {
@@ -355,22 +443,25 @@ class PrimeField
                 return *this;
             }
         }
-        u64 carry = v.addInPlace(o.v);
-        // zkphire-lint: ct-exempt(generic fallback; fixed-limb builds take the branchless kernel above)
-        if (carry || v >= consts().mod)
-            v.subInPlace(consts().mod);
+        *this = addGeneric(o);
         return *this;
     }
 
-    PrimeField
+    ZKPHIRE_FF_INLINE PrimeField
     operator-(const PrimeField &o) const
     {
-        PrimeField f = *this;
-        f -= o;
-        return f;
+        if constexpr (kFixedKernels) {
+            if (useFixedKernels()) [[likely]] {
+                PrimeField f;
+                kernels::subMod<Big, kMod>(f.v.limb.data(), v.limb.data(),
+                                           o.v.limb.data());
+                return f;
+            }
+        }
+        return subGeneric(o);
     }
 
-    PrimeField &
+    ZKPHIRE_FF_INLINE PrimeField &
     operator-=(const PrimeField &o)
     {
         if constexpr (kFixedKernels) {
@@ -380,14 +471,11 @@ class PrimeField
                 return *this;
             }
         }
-        u64 borrow = v.subInPlace(o.v);
-        // zkphire-lint: ct-exempt(generic fallback; fixed-limb builds take the branchless kernel above)
-        if (borrow)
-            v.addInPlace(consts().mod);
+        *this = subGeneric(o);
         return *this;
     }
 
-    PrimeField
+    ZKPHIRE_FF_INLINE PrimeField
     neg() const
     {
         if constexpr (kFixedKernels) {
@@ -397,17 +485,12 @@ class PrimeField
                 return f;
             }
         }
-        if (isZero())
-            return *this;
-        PrimeField f;
-        f.v = consts().mod;
-        f.v.subInPlace(v);
-        return f;
+        return negGeneric();
     }
 
-    PrimeField operator-() const { return neg(); }
+    ZKPHIRE_FF_INLINE PrimeField operator-() const { return neg(); }
 
-    PrimeField
+    ZKPHIRE_FF_INLINE PrimeField
     operator*(const PrimeField &o) const
     {
         PrimeField f;
@@ -415,14 +498,14 @@ class PrimeField
         return f;
     }
 
-    PrimeField &
+    ZKPHIRE_FF_INLINE PrimeField &
     operator*=(const PrimeField &o)
     {
         v = montMul(v, o.v);
         return *this;
     }
 
-    PrimeField
+    ZKPHIRE_FF_INLINE PrimeField
     square() const
     {
         PrimeField f;
@@ -430,7 +513,7 @@ class PrimeField
         return f;
     }
 
-    PrimeField
+    ZKPHIRE_FF_INLINE PrimeField
     dbl() const
     {
         if constexpr (kFixedKernels) {
@@ -440,12 +523,7 @@ class PrimeField
                 return f;
             }
         }
-        PrimeField f = *this;
-        u64 carry = f.v.shl1InPlace();
-        // zkphire-lint: ct-exempt(generic fallback; fixed-limb builds take the branchless kernel above)
-        if (carry || f.v >= consts().mod)
-            f.v.subInPlace(consts().mod);
-        return f;
+        return addGeneric(*this);
     }
 
     /** Exponentiation by a canonical BigInt exponent (square-and-multiply). */

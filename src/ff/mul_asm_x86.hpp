@@ -3,6 +3,9 @@
  * ADX/BMI2 x86-64 assembly Montgomery multiplication for the fixed limb
  * widths (4 = Fr, 6 = Fq).
  *
+ * Generated by tools/gen_mul_asm_x86.py: edit the generator and rerun it,
+ * never this file (ctest's test_mul_asm_generated fails on any drift).
+ *
  * The portable unrolled kernels in mul_impl.hpp bottom out in GCC's u128
  * codegen, which serializes every mac() on a single implicit carry chain;
  * on the BLS12-381 scalar field that caps the kernel at ~1.1x over the
@@ -26,10 +29,27 @@
  *    64-bit immediates in mul position (mulx takes reg/mem only).
  *  - The asm declares precise in/out memory operands instead of a blanket
  *    "memory" clobber, so surrounding hot loops (vec_ops blocks, bucket
- *    adds) keep their pointers in registers across calls.
- *  - The final conditional subtraction reuses the branchless C++
- *    condSubModulus — it is flag-free mask arithmetic the compiler already
- *    schedules well, and keeping it out of the asm keeps the block small.
+ *    adds) keep their pointers in registers across it.
+ *  - The final conditional subtraction is in the asm too: t is copied to
+ *    spare registers (the scratch trio and the ring register the last
+ *    fold zeroed; for N = 6 the top two limbs go to xmm0/xmm1 and come
+ *    back through rax/rcx once those are free), p is subtracted on one
+ *    sub/sbb chain, and cmovc takes the copy back when the chain
+ *    borrowed.
+ *  - The result leaves the block in registers: local register variables
+ *    bound to the ring are its outputs, so the compiler stores each limb
+ *    where it is needed, with no stack buffer in between. a and b are
+ *    only read, so out may alias them. The outputs are written before
+ *    the inputs are dead, which would call for early-clobber outputs, but
+ *    GCC 12's register allocator crashes on early-clobber outputs bound
+ *    to hard registers (an ICE in emit_move_insn, seen in ec/g1.cpp). So
+ *    a and b are pinned to rsi and rdi ("S", "D"), out of the ring, and
+ *    the only memory operands the text names are the rip-relative
+ *    modulus and inverse statics, which need no register.
+ *  - The kernel is force-inlined (ZKPHIRE_FF_INLINE), so a multiply is
+ *    this block at its call site, with no call. PrimeField keeps the
+ *    portable kernels in an outlined cold branch so that the inlined fast
+ *    path is only this block.
  *
  * Squaring dispatches to this multiplier with both operands equal: a
  * dedicated asm squaring needs 2N accumulator limbs live (12 for Fq),
@@ -155,15 +175,18 @@ class ScopedAsmKernels
  * produces canonical (< P) output. out may alias a or b.
  */
 template <class Big, Big P, u64 Inv>
-inline void
+ZKPHIRE_FF_INLINE void
 montMulAsmX86(u64 *out, const u64 *a, const u64 *b)
 {
     constexpr std::size_t N = Big::numLimbs;
     static_assert(N == 4 || N == 6, "asm kernels cover the 4/6-limb widths");
     static constexpr u64 s_inv = Inv;
     static constexpr auto s_p = P.limb;
-    u64 t[N];
     if constexpr (N == 4) {
+        register u64 o0 asm("r12");
+        register u64 o1 asm("r8");
+        register u64 o2 asm("r9");
+        register u64 o3 asm("r10");
         __asm__(
             /* t = a * b[0] (plain carry chain; accumulators are fresh) */
             "movq 0(%[b]), %%rdx\n\t"
@@ -298,12 +321,22 @@ montMulAsmX86(u64 *out, const u64 *a, const u64 *b)
             "adoxq %%rcx, %%r10\n\t"
             "movl $0, %%eax\n\t"
             "adcxq %%rax, %%r10\n\t"
-            "movq %%r12, 0(%[out])\n\t"
-            "movq %%r8, 8(%[out])\n\t"
-            "movq %%r9, 16(%[out])\n\t"
-            "movq %%r10, 24(%[out])"
-            : "=m"(t)
-            : [out] "r"(t), [a] "r"(a), [b] "r"(b),
+            /* out = t - p if t >= p else t: copy t, subtract p on the sbb */
+            /* chain, and take the copy back where the chain borrowed */
+            "movq %%r12, %%rax\n\t"
+            "movq %%r8, %%rcx\n\t"
+            "movq %%r9, %%rdx\n\t"
+            "movq %%r10, %%r11\n\t"
+            "subq %[p0], %%r12\n\t"
+            "sbbq %[p1], %%r8\n\t"
+            "sbbq %[p2], %%r9\n\t"
+            "sbbq %[p3], %%r10\n\t"
+            "cmovcq %%rax, %%r12\n\t"
+            "cmovcq %%rcx, %%r8\n\t"
+            "cmovcq %%rdx, %%r9\n\t"
+            "cmovcq %%r11, %%r10"
+            : "=r"(o0), "=r"(o1), "=r"(o2), "=r"(o3)
+            : [a] "S"(a), [b] "D"(b),
               "m"(*reinterpret_cast<const u64(*)[4]>(a)),
               "m"(*reinterpret_cast<const u64(*)[4]>(b)),
               [inv] "m"(s_inv),
@@ -311,8 +344,18 @@ montMulAsmX86(u64 *out, const u64 *a, const u64 *b)
               [p1] "m"(s_p[1]),
               [p2] "m"(s_p[2]),
               [p3] "m"(s_p[3])
-            : "rax", "rcx", "rdx", "r8", "r9", "r10", "r11", "r12", "cc");
+            : "rax", "rcx", "rdx", "r11", "cc");
+        out[0] = o0;
+        out[1] = o1;
+        out[2] = o2;
+        out[3] = o3;
     } else {
+        register u64 o0 asm("r14");
+        register u64 o1 asm("r8");
+        register u64 o2 asm("r9");
+        register u64 o3 asm("r10");
+        register u64 o4 asm("r11");
+        register u64 o5 asm("r12");
         __asm__(
             /* t = a * b[0] (plain carry chain; accumulators are fresh) */
             "movq 0(%[b]), %%rdx\n\t"
@@ -587,14 +630,30 @@ montMulAsmX86(u64 *out, const u64 *a, const u64 *b)
             "adoxq %%rcx, %%r12\n\t"
             "movl $0, %%eax\n\t"
             "adcxq %%rax, %%r12\n\t"
-            "movq %%r14, 0(%[out])\n\t"
-            "movq %%r8, 8(%[out])\n\t"
-            "movq %%r9, 16(%[out])\n\t"
-            "movq %%r10, 24(%[out])\n\t"
-            "movq %%r11, 32(%[out])\n\t"
-            "movq %%r12, 40(%[out])"
-            : "=m"(t)
-            : [out] "r"(t), [a] "r"(a), [b] "r"(b),
+            /* out = t - p if t >= p else t: copy t, subtract p on the sbb */
+            /* chain, and take the copy back where the chain borrowed */
+            "movq %%r14, %%rax\n\t"
+            "movq %%r8, %%rcx\n\t"
+            "movq %%r9, %%rdx\n\t"
+            "movq %%r10, %%r13\n\t"
+            "movq %%r11, %%xmm0\n\t"
+            "movq %%r12, %%xmm1\n\t"
+            "subq %[p0], %%r14\n\t"
+            "sbbq %[p1], %%r8\n\t"
+            "sbbq %[p2], %%r9\n\t"
+            "sbbq %[p3], %%r10\n\t"
+            "sbbq %[p4], %%r11\n\t"
+            "sbbq %[p5], %%r12\n\t"
+            "cmovcq %%rax, %%r14\n\t"
+            "cmovcq %%rcx, %%r8\n\t"
+            "cmovcq %%rdx, %%r9\n\t"
+            "cmovcq %%r13, %%r10\n\t"
+            "movq %%xmm0, %%rax\n\t"
+            "cmovcq %%rax, %%r11\n\t"
+            "movq %%xmm1, %%rcx\n\t"
+            "cmovcq %%rcx, %%r12"
+            : "=r"(o0), "=r"(o1), "=r"(o2), "=r"(o3), "=r"(o4), "=r"(o5)
+            : [a] "S"(a), [b] "D"(b),
               "m"(*reinterpret_cast<const u64(*)[6]>(a)),
               "m"(*reinterpret_cast<const u64(*)[6]>(b)),
               [inv] "m"(s_inv),
@@ -604,9 +663,14 @@ montMulAsmX86(u64 *out, const u64 *a, const u64 *b)
               [p3] "m"(s_p[3]),
               [p4] "m"(s_p[4]),
               [p5] "m"(s_p[5])
-            : "rax", "rcx", "rdx", "r8", "r9", "r10", "r11", "r12", "r13", "r14", "cc");
+            : "rax", "rcx", "rdx", "r13", "xmm0", "xmm1", "cc");
+        out[0] = o0;
+        out[1] = o1;
+        out[2] = o2;
+        out[3] = o3;
+        out[4] = o4;
+        out[5] = o5;
     }
-    detail::condSubModulus<Big, P>(out, t);
 }
 
 #endif // ZKPHIRE_HAVE_X86_ASM

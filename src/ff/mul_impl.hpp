@@ -32,6 +32,16 @@
  *  - **Branchless reduction**: add/sub/double/negate/mul select the reduced
  *    value with a borrow-derived mask instead of a compare-and-branch, so
  *    the hot loops carry no data-dependent branches.
+ *  - **Flag chains**: every one-bit carry or borrow goes through addc/subb,
+ *    which on x86-64 are the _addcarry_u64/_subborrow_u64 intrinsics and
+ *    compile to one add/adc or sub/sbb per limb with the carry in CF.
+ *    Other targets keep the u128 expression. GCC 12 does not turn that
+ *    expression into a flag chain on x86-64: it spills every carry to the
+ *    stack limb by limb (a 6-limb subtraction was ~1.8 KB of code and cost
+ *    ~23 ns). mac and adc keep the u128 form: their carry is a whole word.
+ *  - **Always inlined**: every helper and kernel is force-inlined, so a
+ *    field add in a hot loop is its two flag chains and a masked select,
+ *    with no call and no trip through memory.
  *
  * All kernels produce canonical (< p) results, bit-identical to the generic
  * path — tests/test_ff_kernels.cpp locks this on random and edge operands,
@@ -45,6 +55,23 @@
 #include <cstdint>
 #include <cstdlib>
 #include <utility>
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <x86intrin.h>
+#define ZKPHIRE_FF_CARRY_INTRINSICS 1
+#else
+#define ZKPHIRE_FF_CARRY_INTRINSICS 0
+#endif
+
+// Force-inlined even at -O0, where GCC and Clang honour always_inline too.
+// ZKPHIRE_FF_COLD marks the outlined fallbacks behind an inlined fast path.
+#if defined(__GNUC__)
+#define ZKPHIRE_FF_INLINE inline __attribute__((always_inline))
+#define ZKPHIRE_FF_COLD __attribute__((noinline, cold))
+#else
+#define ZKPHIRE_FF_INLINE inline
+#define ZKPHIRE_FF_COLD
+#endif
 
 namespace zkphire::ff::kernels {
 
@@ -85,21 +112,24 @@ inline std::atomic<bool> g_force_generic{[] {
 
 /** Compile-time-unrolled loop: body(integral_constant<size_t, 0..N-1>). */
 template <class F, std::size_t... I>
-inline void
+ZKPHIRE_FF_INLINE void
 unrollImpl(F &&body, std::index_sequence<I...>)
 {
     (body(std::integral_constant<std::size_t, I>{}), ...);
 }
 
 template <std::size_t N, class F>
-inline void
+ZKPHIRE_FF_INLINE void
 unroll(F &&body)
 {
     unrollImpl(static_cast<F &&>(body), std::make_index_sequence<N>{});
 }
 
+/** A one-bit carry or borrow (0 or 1), as the flag-chain helpers pass it. */
+using Carry = unsigned char;
+
 /** lo(a + b*c + carry); carry <- hi. Never overflows 128 bits. */
-inline u64
+ZKPHIRE_FF_INLINE u64
 mac(u64 a, u64 b, u64 c, u64 &carry)
 {
     const u128 t = (u128)a + (u128)b * c + carry;
@@ -107,8 +137,9 @@ mac(u64 a, u64 b, u64 c, u64 &carry)
     return (u64)t;
 }
 
-/** lo(a + b + carry); carry <- hi (0 or 1). */
-inline u64
+/** lo(a + b + carry) for a carry of a whole word; carry <- hi. The
+ *  square's diagonal pass feeds mac's word carry straight in. */
+ZKPHIRE_FF_INLINE u64
 adc(u64 a, u64 b, u64 &carry)
 {
     const u128 t = (u128)a + b + carry;
@@ -116,13 +147,35 @@ adc(u64 a, u64 b, u64 &carry)
     return (u64)t;
 }
 
-/** lo(a - b - borrow); borrow <- 1 on underflow. */
-inline u64
-sbb(u64 a, u64 b, u64 &borrow)
+/** lo(a + b + carry) for a one-bit carry; carry <- carry out. One adc. */
+ZKPHIRE_FF_INLINE u64
+addc(u64 a, u64 b, Carry &carry)
 {
-    const u128 t = (u128)a - b - borrow;
-    borrow = (u64)((t >> 64) & 1);
+#if ZKPHIRE_FF_CARRY_INTRINSICS
+    unsigned long long r = 0;
+    carry = _addcarry_u64(carry, a, b, &r);
+    return r;
+#else
+    const u128 t = (u128)a + b + carry;
+    carry = Carry(t >> 64);
     return (u64)t;
+#endif
+}
+
+/** lo(a - b - borrow) for a one-bit borrow; borrow <- 1 on underflow.
+ *  One sbb. */
+ZKPHIRE_FF_INLINE u64
+subb(u64 a, u64 b, Carry &borrow)
+{
+#if ZKPHIRE_FF_CARRY_INTRINSICS
+    unsigned long long r = 0;
+    borrow = _subborrow_u64(borrow, a, b, &r);
+    return r;
+#else
+    const u128 t = (u128)a - b - borrow;
+    borrow = Carry((t >> 64) & 1);
+    return (u64)t;
+#endif
 }
 
 /**
@@ -130,20 +183,20 @@ sbb(u64 a, u64 b, u64 &borrow)
  * computed and the result selected with the borrow-derived mask. @pre t < 2P.
  */
 template <class Big, Big P>
-inline void
+ZKPHIRE_FF_INLINE void
 condSubModulus(u64 *out, const u64 *t)
 {
     constexpr std::size_t N = Big::numLimbs;
     u64 u[N];
-    u64 borrow = 0;
+    Carry borrow = 0;
     unroll<N>([&](auto I) {
         constexpr std::size_t i = decltype(I)::value;
-        u[i] = sbb(t[i], P.limb[i], borrow);
+        u[i] = subb(t[i], P.limb[i], borrow);
     });
-    const u64 keep_sub = u64(0) - (borrow ^ 1); // all-ones when t >= P
+    const u64 keep_t = u64(0) - u64(borrow); // all-ones when t < P
     unroll<N>([&](auto I) {
         constexpr std::size_t i = decltype(I)::value;
-        out[i] = (u[i] & keep_sub) | (t[i] & ~keep_sub);
+        out[i] = (t[i] & keep_t) | (u[i] & ~keep_t);
     });
 }
 
@@ -195,7 +248,7 @@ class ScopedGenericKernels
  *      modulus limb leaves a free bit.
  */
 template <class Big, Big P, u64 Inv>
-inline void
+ZKPHIRE_FF_INLINE void
 montMulNoCarry(u64 *out, const u64 *a, const u64 *b)
 {
     using namespace detail;
@@ -235,7 +288,7 @@ montMulNoCarry(u64 *out, const u64 *a, const u64 *b)
  * @pre a < P, same modulus preconditions as montMulNoCarry.
  */
 template <class Big, Big P, u64 Inv>
-inline void
+ZKPHIRE_FF_INLINE void
 montSquare(u64 *out, const u64 *a)
 {
     using namespace detail;
@@ -268,7 +321,7 @@ montSquare(u64 *out, const u64 *a)
     });
     // Montgomery reduction of the 2N-limb product (a^2 < P*R, so the final
     // carry chain is empty for headroom moduli and the result is < 2P).
-    u64 carry2 = 0;
+    Carry carry2 = 0;
     unroll<N>([&](auto I) {
         constexpr std::size_t i = decltype(I)::value;
         const u64 m = r[i] * Inv;
@@ -278,9 +331,7 @@ montSquare(u64 *out, const u64 *a)
             constexpr std::size_t j = decltype(J)::value + 1;
             r[i + j] = mac(r[i + j], m, P.limb[j], c);
         });
-        u64 c2 = carry2;
-        r[i + N] = adc(r[i + N], c, c2);
-        carry2 = c2;
+        r[i + N] = addc(r[i + N], c, carry2);
     });
     detail::condSubModulus<Big, P>(out, r + N);
 }
@@ -291,34 +342,27 @@ montSquare(u64 *out, const u64 *a)
  * single masked subtraction. out may alias a or b.
  */
 template <class Big, Big P>
-inline void
+ZKPHIRE_FF_INLINE void
 addMod(u64 *out, const u64 *a, const u64 *b)
 {
     using namespace detail;
     constexpr std::size_t N = Big::numLimbs;
     u64 t[N];
-    u64 carry = 0;
+    Carry carry = 0;
     unroll<N>([&](auto I) {
         constexpr std::size_t i = decltype(I)::value;
-        t[i] = adc(a[i], b[i], carry);
+        t[i] = addc(a[i], b[i], carry);
     });
     condSubModulus<Big, P>(out, t);
 }
 
-/** out = 2a mod P, branchless shift-and-reduce. @pre a < P. */
+/** out = 2a mod P, branchless: a + a on the add chain, then reduce.
+ *  @pre a < P. */
 template <class Big, Big P>
-inline void
+ZKPHIRE_FF_INLINE void
 dblMod(u64 *out, const u64 *a)
 {
-    using namespace detail;
-    constexpr std::size_t N = Big::numLimbs;
-    u64 t[N];
-    t[0] = a[0] << 1;
-    unroll<N - 1>([&](auto I) {
-        constexpr std::size_t i = decltype(I)::value + 1;
-        t[i] = (a[i] << 1) | (a[i - 1] >> 63);
-    });
-    condSubModulus<Big, P>(out, t);
+    addMod<Big, P>(out, a, a);
 }
 
 /**
@@ -326,28 +370,28 @@ dblMod(u64 *out, const u64 *a)
  * that is always executed. out may alias a or b.
  */
 template <class Big, Big P>
-inline void
+ZKPHIRE_FF_INLINE void
 subMod(u64 *out, const u64 *a, const u64 *b)
 {
     using namespace detail;
     constexpr std::size_t N = Big::numLimbs;
     u64 t[N];
-    u64 borrow = 0;
+    Carry borrow = 0;
     unroll<N>([&](auto I) {
         constexpr std::size_t i = decltype(I)::value;
-        t[i] = sbb(a[i], b[i], borrow);
+        t[i] = subb(a[i], b[i], borrow);
     });
-    const u64 add_p = u64(0) - borrow; // all-ones when a < b
-    u64 carry = 0;
+    const u64 add_p = u64(0) - u64(borrow); // all-ones when a < b
+    Carry carry = 0;
     unroll<N>([&](auto I) {
         constexpr std::size_t i = decltype(I)::value;
-        out[i] = adc(t[i], P.limb[i] & add_p, carry);
+        out[i] = addc(t[i], P.limb[i] & add_p, carry);
     });
 }
 
 /** out = -a mod P, branchless (P - a masked to zero when a == 0). */
 template <class Big, Big P>
-inline void
+ZKPHIRE_FF_INLINE void
 negMod(u64 *out, const u64 *a)
 {
     using namespace detail;
@@ -358,10 +402,10 @@ negMod(u64 *out, const u64 *a)
         any |= a[i];
     });
     const u64 nonzero = u64(0) - u64(any != 0);
-    u64 borrow = 0;
+    Carry borrow = 0;
     unroll<N>([&](auto I) {
         constexpr std::size_t i = decltype(I)::value;
-        out[i] = sbb(P.limb[i], a[i], borrow) & nonzero;
+        out[i] = subb(P.limb[i], a[i], borrow) & nonzero;
     });
 }
 

@@ -536,6 +536,12 @@ ScopedArena::ScopedArena(BufferArena *a) : saved(t_arena)
 
 ScopedArena::~ScopedArena() { t_arena = saved; }
 
+BufferArena *
+currentArena()
+{
+    return t_arena;
+}
+
 FrTable
 arenaAcquire(std::size_t n)
 {

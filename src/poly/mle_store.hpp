@@ -213,6 +213,9 @@ class ScopedArena
     BufferArena *saved;
 };
 
+/** The calling thread's ambient arena (ScopedArena), or null. */
+BufferArena *currentArena();
+
 /** acquire from the ambient arena, or a fresh policy-routed table. */
 FrTable arenaAcquire(std::size_t n);
 /** release to the ambient arena, or drop. */

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "engine/shard.hpp"
 #include "hyperplonk/serialize.hpp"
 #include "hyperplonk/verifier.hpp"
+#include "poly/mle_store.hpp"
 #include "rt/parallel.hpp"
 
 using namespace zkphire;
@@ -522,6 +524,64 @@ TEST(ProofServiceSharding, HelperUnitsRunUnderTheOwnersJobSettings)
         EXPECT_TRUE(seen[i].cancelled) << "unit " << i;
         EXPECT_EQ(seen[i].windowBits, 7u) << "unit " << i;
     }
+}
+
+TEST(ProofServiceSharding, HelperUnitsAllocateThroughTheOwnersArena)
+{
+    // Tables a helper-run unit allocates (per-column evaluation copies,
+    // fold scratch) must come from the owning job's arena like those of
+    // owner-run units, or they bypass its reuse and its peak bound.
+    engine::ShardGroup group;
+    group.expectHelper();
+    rt::ThreadPool helperPool(1);
+    std::thread helper(
+        [&] { group.helperServe({.threads = 1, .pool = &helperPool}); });
+    const std::thread::id helperId = helper.get_id();
+
+    // Prime the arena with one pooled table per unit, so every acquire
+    // through it is a hit on one of these buffers; a table from outside
+    // the arena is a fresh allocation at some other address.
+    constexpr std::size_t kUnits = 16;
+    constexpr std::size_t kRows = 64;
+    poly::BufferArena arena;
+    std::set<const ff::Fr *> pooled;
+    {
+        std::vector<poly::FrTable> primed;
+        for (std::size_t i = 0; i < kUnits; ++i) {
+            primed.push_back(arena.acquire(kRows));
+            pooled.insert(primed.back().data());
+        }
+        for (auto &t : primed)
+            arena.release(std::move(t));
+    }
+    ASSERT_EQ(arena.pooled(), kUnits);
+
+    std::vector<poly::FrTable> got(kUnits);
+    std::atomic<unsigned> helperUnits{0};
+    std::vector<std::function<void()>> units;
+    for (std::size_t i = 0; i < kUnits; ++i)
+        units.push_back([&, i] {
+            got[i] = poly::arenaAcquire(kRows);
+            if (std::this_thread::get_id() == helperId) {
+                ++helperUnits;
+                return;
+            }
+            const auto until = steady_clock::now() + std::chrono::seconds(10);
+            while (helperUnits == 0 && steady_clock::now() < until)
+                std::this_thread::yield();
+        });
+    {
+        poly::ScopedArena job(&arena);
+        group.run(units);
+    }
+    group.disband();
+    helper.join();
+
+    ASSERT_GT(helperUnits.load(), 0u);
+    for (std::size_t i = 0; i < kUnits; ++i)
+        EXPECT_EQ(pooled.count(got[i].data()), 1u)
+            << "unit " << i << " allocated outside the owner's arena";
+    EXPECT_EQ(arena.pooled(), 0u);
 }
 
 TEST(ProofServiceConfig, HotSwapDuringTrafficIsRaceFreeAndDeterministic)

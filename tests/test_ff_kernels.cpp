@@ -240,6 +240,44 @@ TEST(FfKernels, SquareKernelMatchesMulOnEdges)
     }
 }
 
+TEST(FfKernels, CarryHelpersMatchWideArithmetic)
+{
+    // addc/subb carry one bit (the flag-chain intrinsics on x86-64, the
+    // u128 form elsewhere); adc takes a whole word of carry, as mac hands
+    // it over in the square's diagonal pass. Each must equal the 128-bit
+    // sum or difference, in its low word and its carry.
+    using ff::kernels::u128;
+    using ff::kernels::u64;
+    using namespace ff::kernels::detail;
+    const u64 edges[] = {0,
+                         1,
+                         2,
+                         ~u64(0),
+                         ~u64(0) - 1,
+                         u64(1) << 63,
+                         (u64(1) << 63) - 1,
+                         0x1234567890abcdefULL};
+    for (const u64 a : edges)
+        for (const u64 b : edges) {
+            for (unsigned c = 0; c < 2; ++c) {
+                Carry carry = Carry(c);
+                const u128 sum = u128(a) + b + c;
+                EXPECT_EQ(addc(a, b, carry), u64(sum));
+                EXPECT_EQ(carry, Carry(sum >> 64));
+                Carry borrow = Carry(c);
+                const u128 diff = u128(a) - b - c;
+                EXPECT_EQ(subb(a, b, borrow), u64(diff));
+                EXPECT_EQ(borrow, Carry((diff >> 64) & 1));
+            }
+            for (const u64 word : edges) {
+                u64 carry = word;
+                const u128 sum = u128(a) + b + word;
+                EXPECT_EQ(adc(a, b, carry), u64(sum));
+                EXPECT_EQ(carry, u64(sum >> 64));
+            }
+        }
+}
+
 TEST(FfKernels, VecOpsMatchScalarLoops)
 {
     using ff::Fr;

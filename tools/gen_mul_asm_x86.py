@@ -1,5 +1,29 @@
 #!/usr/bin/env python3
-"""Generate src/ff/mul_asm_x86.hpp: ADX/BMI2 Montgomery mul kernels."""
+"""Generate src/ff/mul_asm_x86.hpp: ADX/BMI2 Montgomery mul kernels.
+
+    python3 tools/gen_mul_asm_x86.py            rewrite src/ff/mul_asm_x86.hpp
+    python3 tools/gen_mul_asm_x86.py -o PATH    write the header to PATH
+    python3 tools/gen_mul_asm_x86.py --check    exit 1, with a diff, when the
+                                                committed header differs
+
+The header is generated, never edited by hand; ctest runs --check.
+"""
+import argparse
+import difflib
+import os
+import sys
+
+
+SPARE_GPRS = 4
+
+
+def spare_regs(n):
+    """Registers free after the last CIOS iteration, for a copy of t: the
+    scratch trio and the ring register the last fold zeroed. For N = 6 the
+    top two limbs are copied to xmm0/xmm1 and come back through rax/rcx
+    once the low limbs are selected."""
+    return ["%%rax", "%%rcx", "%%rdx", f"%%r{8 + n - 1}"]
+
 
 def gen(n):
     ring = [f"%%r{8+i}" for i in range(n + 1)]
@@ -47,9 +71,25 @@ def gen(n):
         L.append(f"movl $0, %%eax")
         L.append(f"adcxq %%rax, {A(i)}")
 
+    spare = spare_regs(n)
+    L.append("// out = t - p if t >= p else t: copy t, subtract p on the sbb")
+    L.append("// chain, and take the copy back where the chain borrowed")
     for j in range(n):
-        L.append(f"movq {t(n,j)}, {8*j}(%[out])")
+        dst = spare[j] if j < SPARE_GPRS else f"%%xmm{j - SPARE_GPRS}"
+        L.append(f"movq {t(n,j)}, {dst}")
+    for j in range(n):
+        op = "subq" if j == 0 else "sbbq"
+        L.append(f"{op} %[p{j}], {t(n,j)}")
+    for j in range(n):
+        if j >= SPARE_GPRS:
+            L.append(f"movq %%xmm{j - SPARE_GPRS}, {spare[j - SPARE_GPRS]}")
+        L.append(f"cmovcq {spare[j % SPARE_GPRS]}, {t(n,j)}")
     return L
+
+
+def result_regs(n):
+    """The ring registers holding limbs 0..n-1 of the result."""
+    return [f"r{8 + (n + j) % (n + 1)}" for j in range(n)]
 
 
 def body(n, indent):
@@ -64,12 +104,22 @@ def body(n, indent):
     return "\n".join(out)
 
 
+def declarations(n, indent):
+    """Local register variables that carry the result out of the block."""
+    return "\n".join(f'{indent}register u64 o{j} asm("{r}");'
+                     for j, r in enumerate(result_regs(n)))
+
+
 def constraints(n, indent):
     ps = ",\n".join(
         f'{indent}  [p{j}] "m"(s_p[{j}])' for j in range(n))
-    clob = ", ".join(f'"r{8+i}"' for i in range(n + 1))
-    return (f'{indent}: "=m"(t)\n'
-            f'{indent}: [out] "r"(t), [a] "r"(a), [b] "r"(b),\n'
+    outs = ", ".join(f'"=r"(o{j})' for j in range(n))
+    res = set(result_regs(n))
+    clob = ", ".join([f'"r{8+i}"' for i in range(n + 1)
+                      if f"r{8+i}" not in res] +
+                     [f'"xmm{k}"' for k in range(n - SPARE_GPRS)])
+    return (f'{indent}: {outs}\n'
+            f'{indent}: [a] "S"(a), [b] "D"(b),\n'
             f'{indent}  "m"(*reinterpret_cast<const u64(*)[{n}]>(a)),\n'
             f'{indent}  "m"(*reinterpret_cast<const u64(*)[{n}]>(b)),\n'
             f'{indent}  [inv] "m"(s_inv),\n'
@@ -77,10 +127,17 @@ def constraints(n, indent):
             f'{indent}: "rax", "rcx", "rdx", {clob}, "cc");')
 
 
+def stores(n, indent):
+    return "\n".join(f"{indent}out[{j}] = o{j};" for j in range(n))
+
+
 HEADER = r'''/**
  * @file
  * ADX/BMI2 x86-64 assembly Montgomery multiplication for the fixed limb
  * widths (4 = Fr, 6 = Fq).
+ *
+ * Generated by tools/gen_mul_asm_x86.py: edit the generator and rerun it,
+ * never this file (ctest's test_mul_asm_generated fails on any drift).
  *
  * The portable unrolled kernels in mul_impl.hpp bottom out in GCC's u128
  * codegen, which serializes every mac() on a single implicit carry chain;
@@ -105,10 +162,27 @@ HEADER = r'''/**
  *    64-bit immediates in mul position (mulx takes reg/mem only).
  *  - The asm declares precise in/out memory operands instead of a blanket
  *    "memory" clobber, so surrounding hot loops (vec_ops blocks, bucket
- *    adds) keep their pointers in registers across calls.
- *  - The final conditional subtraction reuses the branchless C++
- *    condSubModulus — it is flag-free mask arithmetic the compiler already
- *    schedules well, and keeping it out of the asm keeps the block small.
+ *    adds) keep their pointers in registers across it.
+ *  - The final conditional subtraction is in the asm too: t is copied to
+ *    spare registers (the scratch trio and the ring register the last
+ *    fold zeroed; for N = 6 the top two limbs go to xmm0/xmm1 and come
+ *    back through rax/rcx once those are free), p is subtracted on one
+ *    sub/sbb chain, and cmovc takes the copy back when the chain
+ *    borrowed.
+ *  - The result leaves the block in registers: local register variables
+ *    bound to the ring are its outputs, so the compiler stores each limb
+ *    where it is needed, with no stack buffer in between. a and b are
+ *    only read, so out may alias them. The outputs are written before
+ *    the inputs are dead, which would call for early-clobber outputs, but
+ *    GCC 12's register allocator crashes on early-clobber outputs bound
+ *    to hard registers (an ICE in emit_move_insn, seen in ec/g1.cpp). So
+ *    a and b are pinned to rsi and rdi ("S", "D"), out of the ring, and
+ *    the only memory operands the text names are the rip-relative
+ *    modulus and inverse statics, which need no register.
+ *  - The kernel is force-inlined (ZKPHIRE_FF_INLINE), so a multiply is
+ *    this block at its call site, with no call. PrimeField keeps the
+ *    portable kernels in an outlined cold branch so that the inlined fast
+ *    path is only this block.
  *
  * Squaring dispatches to this multiplier with both operands equal: a
  * dedicated asm squaring needs 2N accumulator limbs live (12 for Fq),
@@ -127,6 +201,13 @@ HEADER = r'''/**
  */
 #ifndef ZKPHIRE_FF_MUL_ASM_X86_HPP
 #define ZKPHIRE_FF_MUL_ASM_X86_HPP
+
+// NOLINTBEGIN
+// clang-tidy is suppressed for this whole header: the inline-asm blocks
+// trip bugprone-* and readability heuristics that have no meaning inside
+// a hand-scheduled register ring, and "fixes" here risk miscompiles.
+// Correctness is locked externally by tests/test_ff_kernels.cpp (asm ==
+// unrolled == generic on random and edge operands).
 
 #include <atomic>
 #include <cstdint>
@@ -227,42 +308,79 @@ class ScopedAsmKernels
  * produces canonical (< P) output. out may alias a or b.
  */
 template <class Big, Big P, u64 Inv>
-inline void
+ZKPHIRE_FF_INLINE void
 montMulAsmX86(u64 *out, const u64 *a, const u64 *b)
 {
     constexpr std::size_t N = Big::numLimbs;
     static_assert(N == 4 || N == 6, "asm kernels cover the 4/6-limb widths");
     static constexpr u64 s_inv = Inv;
     static constexpr auto s_p = P.limb;
-    u64 t[N];
     if constexpr (N == 4) {
+@DECL4@
         __asm__(
 @BODY4@
 @CONS4@
+@STORE4@
     } else {
+@DECL6@
         __asm__(
 @BODY6@
 @CONS6@
+@STORE6@
     }
-    detail::condSubModulus<Big, P>(out, t);
 }
 
 #endif // ZKPHIRE_HAVE_X86_ASM
 
 } // namespace zkphire::ff::kernels
 
+// NOLINTEND
+
 #endif // ZKPHIRE_FF_MUL_ASM_X86_HPP
 '''
 
-import os
+HERE = os.path.dirname(os.path.abspath(__file__))
+COMMITTED = os.path.normpath(
+    os.path.join(HERE, "..", "src", "ff", "mul_asm_x86.hpp"))
 
-text = HEADER
-text = text.replace("@BODY4@", body(4, " " * 12))
-text = text.replace("@CONS4@", constraints(4, " " * 12))
-text = text.replace("@BODY6@", body(6, " " * 12))
-text = text.replace("@CONS6@", constraints(6, " " * 12))
-out = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src",
-                   "ff", "mul_asm_x86.hpp")
-with open(out, "w") as f:
-    f.write(text)
-print("wrote", sum(1 for _ in open(out)), "lines")
+
+def render():
+    text = HEADER
+    for n in (4, 6):
+        text = text.replace(f"@DECL{n}@", declarations(n, " " * 8))
+        text = text.replace(f"@BODY{n}@", body(n, " " * 12))
+        text = text.replace(f"@CONS{n}@", constraints(n, " " * 12))
+        text = text.replace(f"@STORE{n}@", stores(n, " " * 8))
+    return text
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("-o", "--out", default=COMMITTED,
+                    help="where to write the header (default: the "
+                         "committed src/ff/mul_asm_x86.hpp)")
+    ap.add_argument("--check", action="store_true",
+                    help="write nothing; fail if the committed header "
+                         "differs from the generator output")
+    args = ap.parse_args()
+    text = render()
+    if args.check:
+        with open(COMMITTED) as f:
+            have = f.read()
+        if have == text:
+            print("mul_asm_x86.hpp matches the generator")
+            return 0
+        sys.stdout.writelines(difflib.unified_diff(
+            have.splitlines(True), text.splitlines(True),
+            "src/ff/mul_asm_x86.hpp (committed)", "generator output"))
+        print("mul_asm_x86.hpp differs from the generator output; "
+              "regenerate it with tools/gen_mul_asm_x86.py")
+        return 1
+    with open(args.out, "w") as f:
+        f.write(text)
+    print("wrote", text.count("\n"), "lines to", args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
