@@ -16,6 +16,7 @@
 #include <memory>
 #include <thread>
 
+#include "ec/batch_add.hpp"
 #include "ec/msm.hpp"
 #include "engine/service.hpp"
 #include "ff/batch_inverse.hpp"
@@ -207,6 +208,37 @@ BENCHMARK(BM_FieldSquare_FrAsm);
 BENCHMARK(BM_FieldSquare_FqUnrolled);
 BENCHMARK(BM_FieldSquare_FqAsm);
 
+/** Eight-lane IFMA Montgomery products (src/ec/batch_add_ifma.hpp) over the
+ *  same 1024-value span; items processed = lane products. */
+static void
+BM_FieldMul_FqIfmaX8(benchmark::State &state)
+{
+    if (!ec::ifma::cpuSupported()) {
+        state.SkipWithError("host lacks AVX512F/AVX512IFMA");
+        return;
+    }
+    constexpr std::size_t kBlocks = 1024 / ec::ifma::kLanes;
+    Rng rng(16);
+    std::vector<ec::ifma::FqX8> a(kBlocks), b(kBlocks), dst(kBlocks);
+    for (std::size_t i = 0; i < kBlocks; ++i) {
+        std::array<ff::Fq, ec::ifma::kLanes> va, vb;
+        for (std::size_t l = 0; l < ec::ifma::kLanes; ++l) {
+            va[l] = ff::Fq::random(rng);
+            vb[l] = ff::Fq::random(rng);
+        }
+        a[i] = ec::ifma::toLanes(va);
+        b[i] = ec::ifma::toLanes(vb);
+    }
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < kBlocks; ++i)
+            ec::ifma::mul(dst[i], a[i], b[i]);
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kBlocks * ec::ifma::kLanes);
+}
+BENCHMARK(BM_FieldMul_FqIfmaX8);
+
 // ---------------------------------------------------------------------------
 // BM_FieldAdd / Sub / Dbl / Neg: the carry-chain kernels in the same span
 // shape as BM_FieldMul (items processed = field operations). The bucket
@@ -374,6 +406,60 @@ msmBenchPoints(std::size_t n)
     }
     return cache.emplace(n, ec::batchToAffine(jac)).first->second;
 }
+
+/**
+ * One batched-affine halving round over 2^k distinct points (segments of
+ * two: 2^(k-1) generic adds, one batch inversion), on the IFMA lanes from
+ * a lane table converted once up front (as the MSM does) or on the scalar
+ * kernel. Items processed = affine adds; run with ->Threads(4) for the
+ * per-thread cost with every core busy.
+ */
+static void
+BM_BatchAffineRound(benchmark::State &state, bool lanes)
+{
+    if (lanes && !ec::ifma::cpuSupported()) {
+        state.SkipWithError("host lacks AVX512F/AVX512IFMA");
+        return;
+    }
+    constexpr std::size_t kMaxLog = 16;
+    static const std::vector<ec::G1Affine> &all =
+        msmBenchPoints(std::size_t(1) << kMaxLog);
+    static const std::vector<ec::ifma::LaneAffine> all_lanes = [] {
+        std::vector<ec::ifma::LaneAffine> v;
+        if (!ec::ifma::cpuSupported())
+            return v;
+        v.resize(all.size());
+        std::vector<std::uint32_t> idx(all.size());
+        for (std::size_t i = 0; i < idx.size(); ++i)
+            idx[i] = std::uint32_t(i);
+        ec::ifma::convertWalk(all, idx, 0, v);
+        return v;
+    }();
+    const std::size_t n = std::size_t(1) << state.range(0);
+    std::vector<std::uint32_t> enc(n), off(n / 2 + 1);
+    for (std::size_t i = 0; i < n; ++i)
+        enc[i] = std::uint32_t(2 * i);
+    for (std::size_t s = 0; s <= n / 2; ++s)
+        off[s] = std::uint32_t(2 * s);
+    std::vector<ec::G1Affine> sums(n / 2);
+    ec::BatchAffineScratch scratch;
+    for (auto _ : state) {
+        if (lanes)
+            ec::detail::segmentSumsLanes(
+                std::span<const ec::ifma::LaneAffine>(all_lanes.data(), n),
+                enc, off, sums, scratch, nullptr);
+        else
+            ec::detail::segmentSumsScalar(
+                std::span<const ec::G1Affine>(all.data(), n), enc, off, sums,
+                scratch, nullptr);
+        benchmark::DoNotOptimize(sums.data());
+    }
+    state.SetItemsProcessed(state.iterations() * (n / 2));
+}
+BENCHMARK_CAPTURE(BM_BatchAffineRound, lanes, true)
+    ->DenseRange(10, 16, 2)->Arg(15)->Threads(1)->Threads(4)->UseRealTime();
+BENCHMARK_CAPTURE(BM_BatchAffineRound, scalar, false)
+    ->DenseRange(10, 16, 2)->Arg(15)->Threads(1)->Threads(4)->UseRealTime();
 
 static std::vector<Fr>
 msmBenchScalars(std::size_t n, std::uint64_t seed)

@@ -10,64 +10,8 @@ namespace zkphire::ec {
 namespace {
 
 using ff::Fq;
-
-enum PairKind : std::uint8_t {
-    kKeepA = 0, ///< rhs is the identity: result = lhs.
-    kKeepB = 1, ///< lhs is the identity: result = rhs.
-    kInf = 2,   ///< lhs == -rhs: result = identity.
-    kSlope = 3, ///< Generic add or doubling: needs a slope inverse.
-};
-
-/**
- * Classify one pair, staging slope numerator/denominator for the batched
- * inversion when the pair needs one. Denominators are nonzero by
- * construction: a generic add has x2 != x1 and a doubling has y != 0 (a
- * zero y falls into the cancellation case, since then -y == y).
- */
-// zkphire-lint: ct-exempt(identity/cancellation classification is what batched-affine MSM buckets require; scalar-shaped timing is inherent to Pippenger)
-inline std::uint8_t
-classifyPair(const G1Affine &a, const G1Affine &b, BatchAffineScratch &s)
-{
-    if (b.infinity)
-        return kKeepA;
-    if (a.infinity)
-        return kKeepB;
-    if (a.x == b.x) {
-        if (a.y == b.y && !a.y.isZero()) {
-            // Doubling: lambda = 3x^2 / 2y.
-            Fq sq = a.x.square();
-            s.numer.push_back(sq.dbl() + sq);
-            s.denom.push_back(a.y.dbl());
-            return kSlope;
-        }
-        return kInf;
-    }
-    // Generic: lambda = (y2 - y1) / (x2 - x1).
-    s.numer.push_back(b.y - a.y);
-    s.denom.push_back(b.x - a.x);
-    return kSlope;
-}
-
-/** Apply a classified pair; di indexes the round's resolved slopes. */
-inline G1Affine
-applyPair(std::uint8_t kind, const G1Affine &a, const G1Affine &b,
-          const BatchAffineScratch &s, std::size_t &di)
-{
-    switch (kind) {
-    case kKeepA:
-        return a;
-    case kKeepB:
-        return b;
-    case kInf:
-        return G1Affine{};
-    default: {
-        const Fq &lam = s.numer[di];
-        ++di;
-        Fq x3 = lam.square() - a.x - b.x;
-        return G1Affine{x3, lam * (a.x - x3) - a.y, false};
-    }
-    }
-}
+using detail::applyPair;
+using detail::classifyPair;
 
 /**
  * Resolve this round's staged slopes: one true field inversion for every
@@ -146,39 +90,28 @@ reduceSegments(std::span<G1Affine> buf, std::span<const std::uint32_t> off,
 } // namespace
 
 void
-batchAffineSegmentSums(std::span<G1Affine> buf,
-                       std::span<const std::uint32_t> off,
-                       std::span<G1Affine> out, BatchAffineScratch &scratch,
-                       BatchAffineStats *stats)
-{
-    const std::size_t num_segs = out.size();
-    assert(off.size() == num_segs + 1);
-
-    scratch.len.resize(num_segs);
-    bool again = false;
-    for (std::size_t s = 0; s < num_segs; ++s) {
-        scratch.len[s] = off[s + 1] - off[s];
-        again |= scratch.len[s] > 1;
-    }
-    reduceSegments(buf, off, again, scratch, stats);
-    for (std::size_t s = 0; s < num_segs; ++s)
-        out[s] = scratch.len[s] ? buf[off[s]] : G1Affine{};
-}
-
-void
-batchAffineSegmentSumsIndexed(std::span<const G1Affine> points,
+batchAffineSegmentSumsIndexed(PointTable table,
                               std::span<const std::uint32_t> enc,
                               std::span<const std::uint32_t> off,
                               std::span<G1Affine> out,
                               BatchAffineScratch &scratch,
                               BatchAffineStats *stats)
 {
-    const std::size_t num_segs = out.size();
-    assert(off.size() == num_segs + 1);
+    if (!table.lanes.empty() || ifma::selected())
+        detail::segmentSumsLanes(table, enc, off, out, scratch, stats);
+    else
+        detail::segmentSumsScalar(table.affine, enc, off, out, scratch, stats);
+}
 
+namespace detail {
+
+std::size_t
+prepareSegments(std::span<const std::uint32_t> off, BatchAffineScratch &scratch)
+{
     // Round 0 reads the shared point array through the encoded entries and
-    // writes compacted half-size segments into scratch.buf; the remaining
-    // rounds then run in place over materialized points.
+    // writes compacted half-size segments into a scratch buffer laid out by
+    // scratch.off; the remaining rounds then run over that.
+    const std::size_t num_segs = off.size() - 1;
     scratch.off.resize(num_segs + 1);
     scratch.off[0] = 0;
     for (std::size_t s = 0; s < num_segs; ++s) {
@@ -199,6 +132,30 @@ batchAffineSegmentSumsIndexed(std::span<const G1Affine> points,
     trim(scratch.numer, need);
     trim(scratch.denom, need);
     trim(scratch.prefix, need);
+    trim(scratch.pairSrc, need);
+    trim(scratch.pairDst, need);
+    trim(scratch.chainSpecial, need / ifma::kLanes);
+    const auto unmap = [](auto &v, std::size_t bound) {
+        if (v.capacity() > 4 * bound + 1024)
+            v.release();
+    };
+    for (auto &v : scratch.lanes)
+        unmap(v, need);
+    unmap(scratch.entries, off[num_segs]);
+    unmap(scratch.chain, need / ifma::kLanes);
+    unmap(scratch.chainDen, need / ifma::kLanes);
+    return need;
+}
+
+void
+segmentSumsScalar(std::span<const G1Affine> points,
+                  std::span<const std::uint32_t> enc,
+                  std::span<const std::uint32_t> off, std::span<G1Affine> out,
+                  BatchAffineScratch &scratch, BatchAffineStats *stats)
+{
+    const std::size_t num_segs = out.size();
+    assert(off.size() == num_segs + 1);
+    const std::size_t need = prepareSegments(off, scratch);
     if (scratch.buf.size() < need)
         scratch.buf.resize(need);
 
@@ -239,5 +196,7 @@ batchAffineSegmentSumsIndexed(std::span<const G1Affine> points,
     for (std::size_t s = 0; s < num_segs; ++s)
         out[s] = scratch.len[s] ? scratch.buf[scratch.off[s]] : G1Affine{};
 }
+
+} // namespace detail
 
 } // namespace zkphire::ec

@@ -209,7 +209,7 @@ windowSumJacobian(std::span<const G1Affine> points,
  * peak-size buffers per worker forever.
  */
 void
-windowSumBatchAffine(std::span<const G1Affine> points,
+windowSumBatchAffine(PointTable points,
                      std::span<const std::uint32_t> dense_idx,
                      const std::int32_t *digits, std::size_t stride,
                      std::size_t num_win, std::size_t k,
@@ -374,6 +374,11 @@ struct MsmWork {
     std::vector<std::uint32_t> denseIdx;
     std::vector<G1Affine> extPoints;
     std::span<const G1Affine> walk;
+    /** The walk in lane form when the bucket reduction runs on the IFMA
+     *  lanes: converted once per MSM here instead of once per window. */
+    ifma::MappedArray<ifma::LaneAffine> laneWalk;
+    std::size_t walkSize = 0; ///< Extended walk length (n or 2n).
+    bool lanes = false;
     std::span<const std::uint32_t> dense;
     std::vector<std::uint32_t> baCols, jacCols;
     std::vector<G1Jacobian> trivial; ///< Per-column {1}-scalar sums.
@@ -384,6 +389,14 @@ struct MsmWork {
         : shape(sh), opts(o), k(cols),
           trivial(cols, G1Jacobian::identity())
     {
+    }
+
+    /** The walk the batched-affine columns reduce over. */
+    PointTable walkTable() const
+    {
+        return lanes ? PointTable(std::span<const ifma::LaneAffine>(
+                           laneWalk.data(), walkSize))
+                     : PointTable(walk);
     }
 
     /** Combined entry count of the bucket phase (its cache footprint). */
@@ -499,31 +512,6 @@ recodeChunk(MsmWork &wk, std::span<const std::span<const Fr>> cols,
             wk.denseOrig.push_back(std::uint32_t(i));
     }
 
-    // The bucket walk list over extended indices, and (GLV only) the
-    // extended point array: original points first, phi points at n + i —
-    // filled only where some column is dense (one Fq mul each).
-    wk.dense = wk.denseOrig;
-    walk = points;
-    if (sh.glv) {
-        const std::size_t nd = wk.denseOrig.size();
-        wk.denseIdx.resize(2 * nd);
-        for (std::size_t d = 0; d < nd; ++d) {
-            wk.denseIdx[2 * d] = wk.denseOrig[d];
-            wk.denseIdx[2 * d + 1] = std::uint32_t(n + wk.denseOrig[d]);
-        }
-        ext_points.resize(std::max(ext_points.size(), 2 * n));
-        std::copy(points.begin(), points.end(), ext_points.begin());
-        rt::parallelFor(
-            0, nd,
-            [&](std::size_t d) {
-                const std::uint32_t i = wk.denseOrig[d];
-                ext_points[n + i] = glv::endomorphism(points[i]);
-            },
-            /*grain=*/0, /*minGrain=*/512);
-        wk.dense = std::span<const std::uint32_t>(wk.denseIdx.data(), 2 * nd);
-        walk = std::span<const G1Affine>(ext_points.data(), 2 * n);
-    }
-
     // Path selection is per COLUMN on the column's own dense count, so a
     // sparse column inside a dense batch takes exactly the path (and so
     // produces exactly the Jacobian representation) its solo run would.
@@ -535,6 +523,52 @@ recodeChunk(MsmWork &wk, std::span<const std::span<const Fr>> cols,
             wk.baCols.push_back(std::uint32_t(j));
         else
             wk.jacCols.push_back(std::uint32_t(j));
+    }
+    wk.lanes = !wk.baCols.empty() && ifma::selected();
+
+    // The bucket walk list over extended indices, and (GLV only) the
+    // extended point array: original points first, phi points at n + i —
+    // filled only where some column is dense (one Fq mul each). On the
+    // lanes the converted walk takes the extended array's place (phi is
+    // one lane multiply by beta); the affine one is then built only for
+    // the Jacobian columns.
+    const std::size_t nd = wk.denseOrig.size();
+    wk.dense = wk.denseOrig;
+    walk = points;
+    if (sh.glv) {
+        wk.denseIdx.resize(2 * nd);
+        for (std::size_t d = 0; d < nd; ++d) {
+            wk.denseIdx[2 * d] = wk.denseOrig[d];
+            wk.denseIdx[2 * d + 1] = std::uint32_t(n + wk.denseOrig[d]);
+        }
+        wk.dense = std::span<const std::uint32_t>(wk.denseIdx.data(), 2 * nd);
+    }
+    if (sh.glv && (!wk.lanes || !wk.jacCols.empty())) {
+        ext_points.resize(std::max(ext_points.size(), 2 * n));
+        std::copy(points.begin(), points.end(), ext_points.begin());
+        rt::parallelFor(
+            0, nd,
+            [&](std::size_t d) {
+                const std::uint32_t i = wk.denseOrig[d];
+                ext_points[n + i] = glv::endomorphism(points[i]);
+            },
+            /*grain=*/0, /*minGrain=*/512);
+        walk = std::span<const G1Affine>(ext_points.data(), 2 * n);
+    }
+    if (wk.lanes) {
+        wk.laneWalk.reserve(n_ext);
+        wk.walkSize = n_ext;
+        rt::parallelForChunks(
+            0, nd,
+            [&](std::size_t b, std::size_t e) {
+                ifma::convertWalk(
+                    points,
+                    std::span<const std::uint32_t>(wk.denseOrig).subspan(
+                        b, e - b),
+                    sh.glv ? n : 0,
+                    std::span<ifma::LaneAffine>(wk.laneWalk.data(), n_ext));
+            },
+            /*grain=*/0, /*minGrain=*/256);
     }
     wk.sums.assign(sh.numWindows * k, G1Jacobian::identity());
     wk.wacc.assign(sh.numWindows, WindowAcc{});
@@ -557,7 +591,7 @@ void
 bucketWindows(MsmWork &wk, std::size_t w0, std::size_t w1)
 {
     if (!wk.baCols.empty())
-        windowSumBatchAffine(wk.walk, wk.dense,
+        windowSumBatchAffine(wk.walkTable(), wk.dense,
                              wk.digits.data() + w0 * wk.stride, wk.stride,
                              w1 - w0, wk.k, wk.baCols, wk.shape.numBuckets,
                              &wk.sums[w0 * wk.k], wk.wacc[w0]);

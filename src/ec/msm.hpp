@@ -14,6 +14,14 @@
  * all columns. The op-count statistics feed both the MSM hardware model
  * and the CPU baseline calibration, so the functional kernel and the
  * performance model stay structurally identical.
+ *
+ * On hosts with AVX-512 IFMA the bucket reduction runs eight pairs at a
+ * time in a radix-2^52 lane domain (src/ec/batch_add_ifma.hpp). The point
+ * walk is then converted to lane form once per MSM, while recoding — the
+ * GLV phi points are one lane multiply by beta there — and every window
+ * reads the converted table; converting per window would cost about half
+ * of the reduction itself. Bucket sums, MsmStats counts, the window choice
+ * and every result are the same bytes on either path.
  */
 #ifndef ZKPHIRE_EC_MSM_HPP
 #define ZKPHIRE_EC_MSM_HPP

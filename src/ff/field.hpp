@@ -370,6 +370,17 @@ class PrimeField
     /** Raw Montgomery-form access for hashing/serialization of field state. */
     const Big &raw() const { return v; }
 
+    /** The element whose raw Montgomery form is `mont` (which must be < p):
+     *  the inverse of raw(), for kernels that compute in another limb
+     *  layout (src/ec/batch_add_ifma.cpp). */
+    static PrimeField
+    fromRaw(const Big &mont)
+    {
+        PrimeField f;
+        f.v = mont;
+        return f;
+    }
+
     /**
      * Sample uniformly at random by rejection from `bits`-bit integers.
      */

@@ -5,8 +5,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdlib>
+#include <string>
+
 #include "ec/batch_add.hpp"
 #include "ec/g1.hpp"
+#include "ec/glv.hpp"
 #include "ec/msm.hpp"
 #include "ec/recode.hpp"
 #include "rt/parallel.hpp"
@@ -299,10 +304,15 @@ TEST(BatchAffine, SegmentSumsMatchJacobianOracle)
         buf.insert(buf.end(), seg.begin(), seg.end());
         off.push_back(std::uint32_t(buf.size()));
     }
+    // Entry 2*i references buf[i], not negated.
+    std::vector<std::uint32_t> enc(buf.size());
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        enc[i] = std::uint32_t(2 * i);
     std::vector<G1Affine> sums(segments.size());
     BatchAffineScratch scratch;
     BatchAffineStats stats;
-    batchAffineSegmentSums(buf, off, sums, scratch, &stats);
+    batchAffineSegmentSumsIndexed(std::span<const G1Affine>(buf), enc, off,
+                                  sums, scratch, &stats);
     EXPECT_GT(stats.affineAdds, 0u);
     EXPECT_GT(stats.batchInversions, 0u);
 
@@ -577,4 +587,312 @@ TEST(Msm, ManyMatchesIndependentRuns)
         }
         EXPECT_EQ(stats.denseScalars, dense);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Eight-lane AVX-512 IFMA reduction (src/ec/batch_add_ifma.hpp): the lane
+// arithmetic against Fq, and every consumer of the reduction bit-identical
+// with the lanes on and off.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using zkphire::ff::kernels::ScopedAsmKernels;
+using zkphire::ff::kernels::ScopedGenericKernels;
+
+/** Distinct points P + i*Q, plus repeats and negations of P every few
+ *  entries so buckets meet doubling and cancellation pairs. */
+std::vector<G1Affine>
+laneTestPoints(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const G1Affine p = randomG1(rng);
+    const G1Affine q = randomG1(rng);
+    std::vector<G1Jacobian> jac(n);
+    G1Jacobian acc = G1Jacobian::fromAffine(p);
+    for (std::size_t i = 0; i < n; ++i) {
+        jac[i] = acc;
+        acc = acc.addMixed(q);
+    }
+    std::vector<G1Affine> pts = batchToAffine(jac);
+    for (std::size_t i = 0; i < n; i += 7)
+        pts[i] = i % 14 == 0 ? p : G1Affine{p.x, p.y.neg(), false};
+    return pts;
+}
+
+/** The counts of two MsmStats (timings excluded). */
+void
+expectSameCounts(const MsmStats &a, const MsmStats &b, const char *what)
+{
+    EXPECT_EQ(a.pointAdds, b.pointAdds) << what;
+    EXPECT_EQ(a.pointDoubles, b.pointDoubles) << what;
+    EXPECT_EQ(a.trivialScalars, b.trivialScalars) << what;
+    EXPECT_EQ(a.denseScalars, b.denseScalars) << what;
+    EXPECT_EQ(a.affineAdds, b.affineAdds) << what;
+    EXPECT_EQ(a.batchInversions, b.batchInversions) << what;
+}
+
+void
+expectSameCoords(const G1Jacobian &a, const G1Jacobian &b, const char *what)
+{
+    EXPECT_EQ(a.X, b.X) << what;
+    EXPECT_EQ(a.Y, b.Y) << what;
+    EXPECT_EQ(a.Z, b.Z) << what;
+}
+
+} // namespace
+
+TEST(IfmaLanes, ArithmeticAndConversionsMatchFq)
+{
+    if (!ifma::cpuSupported())
+        GTEST_SKIP() << "host lacks AVX512F/AVX512IFMA (or OS ZMM state)";
+    using Big = Fq::Big;
+    Big top = Fq::modulus(); // p - 1, p - 2: the largest canonical values
+    top.limb[0] -= 1;
+    Big top2 = top;
+    top2.limb[0] -= 1;
+    Big near381; // 2^380 and 2^380 - 1: the top bit of a 381-bit value
+    near381.limb[5] = std::uint64_t(1) << 60;
+    Big below381;
+    for (std::size_t i = 0; i < 5; ++i)
+        below381.limb[i] = ~std::uint64_t(0);
+    below381.limb[5] = (std::uint64_t(1) << 60) - 1;
+    std::vector<Fq> vals = {Fq::zero(),          Fq::one(),
+                            Fq::fromU64(2),      Fq::fromBig(top),
+                            Fq::fromBig(top2),   Fq::fromBig(near381),
+                            Fq::fromBig(below381), Fq::zero() - Fq::one()};
+    Rng rng(171);
+    while (vals.size() < 64)
+        vals.push_back(Fq::random(rng));
+
+    // Every ordered pair of the 64 values, eight lanes at a time.
+    for (std::size_t off = 0; off < vals.size(); ++off) {
+        for (std::size_t b0 = 0; b0 < vals.size(); b0 += ifma::kLanes) {
+            std::array<Fq, ifma::kLanes> a, b, got;
+            for (std::size_t l = 0; l < ifma::kLanes; ++l) {
+                a[l] = vals[b0 + l];
+                b[l] = vals[(b0 + l + off) % vals.size()];
+            }
+            const ifma::FqX8 la = ifma::toLanes(a), lb = ifma::toLanes(b);
+            ifma::fromLanes(la, got);
+            for (std::size_t l = 0; l < ifma::kLanes; ++l) {
+                ASSERT_EQ(got[l], a[l]) << "round trip, lane " << l;
+                // The vector entry conversion equals the scalar one.
+                const ifma::LaneAffine sc =
+                    ifma::toLaneAffine(G1Affine{a[l], a[l], false});
+                for (std::size_t j = 0; j < ifma::kLanes; ++j)
+                    ASSERT_EQ(la.limb[j][l], sc.x[j]) << "limb " << j;
+            }
+            ifma::FqX8 prod, diff;
+            ifma::mul(prod, la, lb);
+            ifma::fromLanes(prod, got);
+            for (std::size_t l = 0; l < ifma::kLanes; ++l)
+                ASSERT_EQ(got[l], a[l] * b[l]) << "mul, lane " << l;
+            ifma::sub(diff, la, lb);
+            const ifma::FqX8 want = ifma::toLanes(
+                std::array<Fq, ifma::kLanes>{a[0] - b[0], a[1] - b[1],
+                                             a[2] - b[2], a[3] - b[3],
+                                             a[4] - b[4], a[5] - b[5],
+                                             a[6] - b[6], a[7] - b[7]});
+            // Canonical: limb-for-limb equal to the entered difference.
+            for (std::size_t j = 0; j < ifma::kLanes; ++j)
+                for (std::size_t l = 0; l < ifma::kLanes; ++l)
+                    ASSERT_EQ(diff.limb[j][l], want.limb[j][l])
+                        << "sub, limb " << j << " lane " << l;
+        }
+    }
+}
+
+TEST(IfmaLanes, PointConversionsRoundTrip)
+{
+    if (!ifma::cpuSupported())
+        GTEST_SKIP() << "host lacks AVX512F/AVX512IFMA (or OS ZMM state)";
+    std::vector<G1Affine> pts = laneTestPoints(21, 172);
+    pts[4] = G1Affine{}; // the identity converts to the marker and back
+    std::vector<std::uint32_t> idx;
+    for (std::uint32_t i = 0; i < pts.size(); i += 2) // a subset: others stay
+        idx.push_back(i);
+    const ifma::LaneAffine untouched = ifma::toLaneAffine(g1Generator());
+    std::vector<ifma::LaneAffine> lanes(2 * pts.size(), untouched);
+    ifma::convertWalk(pts, idx, pts.size(), lanes);
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        const bool conv = i % 2 == 0;
+        const G1Affine want = conv ? pts[i] : g1Generator();
+        const G1Affine phi = conv ? glv::endomorphism(pts[i]) : g1Generator();
+        EXPECT_EQ(ifma::fromLaneAffine(lanes[i]), want) << i;
+        EXPECT_EQ(ifma::fromLaneAffine(lanes[pts.size() + i]), phi) << i;
+        EXPECT_EQ(ifma::fromLaneAffine(ifma::toLaneAffine(pts[i])), pts[i]);
+    }
+    EXPECT_TRUE(ifma::fromLaneAffine(lanes[4]).infinity);
+}
+
+TEST(IfmaLanes, SegmentSumsAndStatsMatchScalar)
+{
+    Rng rng(173);
+    const G1Affine p = randomG1(rng);
+    const std::vector<G1Affine> pts = laneTestPoints(300, 174);
+    // Point table: index 0 is p, 1 the identity, then distinct points.
+    std::vector<G1Affine> table = {p, G1Affine{}};
+    table.insert(table.end(), pts.begin(), pts.end());
+    const auto ref = [](std::uint32_t i, bool neg) {
+        return (i << 1) | std::uint32_t(neg);
+    };
+    // Every pair class: doubling, cancellation (p, -p), identity on either
+    // side, odd tails, repeated points, and long mixed segments.
+    std::vector<std::vector<std::uint32_t>> base = {
+        {},
+        {ref(0, false)},
+        {ref(0, false), ref(0, false)},
+        {ref(0, false), ref(0, true)},
+        {ref(1, false), ref(0, false)},
+        {ref(0, true), ref(1, false)},
+        {ref(1, false), ref(1, true)},
+        {ref(0, false), ref(5, false), ref(0, false)},
+        {ref(0, false), ref(0, false), ref(0, false), ref(0, false)},
+        {ref(0, false), ref(0, true), ref(0, false), ref(0, true),
+         ref(9, true)},
+    };
+    for (std::size_t num_segs : {3u, 13u, 37u, 101u}) {
+        std::vector<std::uint32_t> enc, off = {0};
+        for (std::size_t s = 0; s < num_segs; ++s) {
+            std::vector<std::uint32_t> seg = base[s % base.size()];
+            if (s >= base.size())
+                for (std::size_t j = 0; j < 1 + (s * 7) % 23; ++j)
+                    seg.push_back(ref(std::uint32_t(2 + (s * 31 + j * 17) %
+                                                            pts.size()),
+                                      (s + j) % 3 == 0));
+            enc.insert(enc.end(), seg.begin(), seg.end());
+            off.push_back(std::uint32_t(enc.size()));
+        }
+        const auto run = [&](bool lanes_on) {
+            ScopedAsmKernels asm_scope(lanes_on);
+            if (!lanes_on)
+                EXPECT_FALSE(ifma::selected());
+            std::vector<G1Affine> sums(num_segs);
+            BatchAffineScratch scratch;
+            BatchAffineStats st;
+            batchAffineSegmentSumsIndexed(std::span<const G1Affine>(table),
+                                          enc, off, sums, scratch, &st);
+            return std::make_pair(sums, st);
+        };
+        const auto [on, st_on] = run(true);
+        const auto [off_sums, st_off] = run(false);
+        EXPECT_EQ(st_on.affineAdds, st_off.affineAdds) << num_segs;
+        EXPECT_EQ(st_on.batchInversions, st_off.batchInversions) << num_segs;
+        for (std::size_t s = 0; s < num_segs; ++s) {
+            EXPECT_EQ(on[s].infinity, off_sums[s].infinity) << s;
+            EXPECT_EQ(on[s].x, off_sums[s].x) << s;
+            EXPECT_EQ(on[s].y, off_sums[s].y) << s;
+            G1Jacobian expect = G1Jacobian::identity();
+            for (std::uint32_t e = off[s]; e < off[s + 1]; ++e) {
+                const G1Affine &pt = table[enc[e] >> 1];
+                expect = expect.addMixed(
+                    (enc[e] & 1) && !pt.infinity
+                        ? G1Affine{pt.x, pt.y.neg(), false}
+                        : pt);
+            }
+            EXPECT_EQ(G1Jacobian::fromAffine(off_sums[s]), expect) << s;
+        }
+        if (!ifma::cpuSupported())
+            continue;
+        // A pre-converted lane table (the MSM's form) gives the same.
+        std::vector<ifma::LaneAffine> lane_table(table.size());
+        std::vector<std::uint32_t> all(table.size());
+        for (std::uint32_t i = 0; i < all.size(); ++i)
+            all[i] = i;
+        ifma::convertWalk(table, all, 0, lane_table);
+        std::vector<G1Affine> sums(num_segs);
+        BatchAffineScratch scratch;
+        BatchAffineStats st;
+        batchAffineSegmentSumsIndexed(
+            std::span<const ifma::LaneAffine>(lane_table), enc, off, sums,
+            scratch, &st);
+        EXPECT_EQ(st.affineAdds, st_off.affineAdds);
+        EXPECT_EQ(st.batchInversions, st_off.batchInversions);
+        for (std::size_t s = 0; s < num_segs; ++s)
+            EXPECT_EQ(sums[s], off_sums[s]) << s;
+    }
+}
+
+TEST(IfmaLanes, MsmConsumersMatchWithLanesOnAndOff)
+{
+    const std::vector<G1Affine> pts = laneTestPoints(4096, 175);
+    Rng rng(176);
+    std::vector<Fr> col0, col1;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        col0.push_back(i % 11 == 0 ? Fr::one() : Fr::random(rng));
+        col1.push_back(i % 3 == 0 ? Fr::zero() : Fr::random(rng));
+    }
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 1; n <= 17; ++n)
+        sizes.push_back(n);
+    sizes.push_back(1000);
+    sizes.push_back(4096);
+    for (bool glv : {false, true}) {
+        // A floor of 0 sends even one-point MSMs through the reduction.
+        const MsmOptions opts{.glv = glv, .batchAffineMinPoints = 0};
+        for (std::size_t n : sizes) {
+            const std::span<const G1Affine> p(pts.data(), n);
+            const std::span<const Fr> c0(col0.data(), n), c1(col1.data(), n);
+            const std::span<const Fr> cols[] = {c0, c1};
+            const std::vector<MsmJob> jobs = {{c0, p},
+                                              {c1.first(n / 2), p.first(n / 2)}};
+            struct Run {
+                std::vector<G1Jacobian> batch, many, accum;
+                MsmStats sb, sm, sa;
+            };
+            const auto run = [&](bool lanes_on) {
+                ScopedAsmKernels asm_scope(lanes_on);
+                Run r;
+                r.batch = msmBatch(cols, p, opts, &r.sb);
+                r.many = msmMany(jobs, opts, &r.sm);
+                MsmAccumulator acc(n, 2, opts, &r.sa, (n + 1) / 2);
+                for (std::size_t b = 0; b < n; b += (n + 1) / 2) {
+                    const std::size_t e = std::min(n, b + (n + 1) / 2);
+                    const std::span<const Fr> chunk[] = {
+                        c0.subspan(b, e - b), c1.subspan(b, e - b)};
+                    acc.add(chunk, p.subspan(b, e - b));
+                }
+                r.accum = acc.finalize();
+                return r;
+            };
+            const Run on = run(true), off = run(false);
+            const std::string what =
+                "n=" + std::to_string(n) + " glv=" + std::to_string(glv);
+            for (std::size_t j = 0; j < 2; ++j) {
+                expectSameCoords(on.batch[j], off.batch[j], what.c_str());
+                expectSameCoords(on.many[j], off.many[j], what.c_str());
+                expectSameCoords(on.accum[j], off.accum[j], what.c_str());
+            }
+            expectSameCounts(on.sb, off.sb, what.c_str());
+            expectSameCounts(on.sm, off.sm, what.c_str());
+            expectSameCounts(on.sa, off.sa, what.c_str());
+            if (n == 17 || n == 1000)
+                EXPECT_EQ(off.batch[0], msmNaive(c0, p)) << what;
+        }
+    }
+}
+
+TEST(IfmaLanes, NeverSelectedUnderTheScalarSwitches)
+{
+    const bool want = ifma::cpuSupported() &&
+                      zkphire::ff::kernels::asmKernelsEnabled() &&
+                      !zkphire::ff::kernels::genericKernelsForced();
+    EXPECT_EQ(ifma::selected(), want);
+    if (!ifma::cpuSupported())
+        EXPECT_FALSE(ifma::selected()) << "host without IFMA";
+    const char *env = std::getenv("ZKPHIRE_ASM");
+    if (env != nullptr && env[0] == '0')
+        EXPECT_FALSE(ifma::selected()) << "ZKPHIRE_ASM=0";
+    {
+        ScopedAsmKernels asm_off(false);
+        EXPECT_FALSE(ifma::selected());
+    }
+    {
+        ScopedGenericKernels oracle(true);
+        EXPECT_FALSE(ifma::selected());
+        ScopedAsmKernels asm_on(true);
+        EXPECT_FALSE(ifma::selected()) << "the generic oracle wins";
+    }
+    EXPECT_EQ(ifma::selected(), want);
 }
